@@ -34,7 +34,7 @@ from . import energy as en
 from . import flow
 from . import harness
 from . import metrics as me
-from .diffcore import CheckpointError, load_mlp
+from .diffcore import AutodiffError, CheckpointError, load_mlp
 
 
 def _load_spec(args, force_pipeline: str | None = None) -> harness.ExperimentSpec:
@@ -256,7 +256,15 @@ def main(argv: list[str] | None = None) -> int:
     except harness.DependencyError as exc:
         print(f"dependency error: {exc}", file=sys.stderr)
         return 3
-    except (harness.HarnessError, CheckpointError, ValueError, TypeError, OSError) as exc:
+    except (
+        harness.HarnessError,
+        CheckpointError,
+        AutodiffError,
+        flow.FullySuppressedBatchError,
+        ValueError,
+        TypeError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -277,16 +277,31 @@ def export_csv(data: LabeledDataset, path: str | Path) -> None:
 
 
 def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read points (and labels when present) from an ``x,y[,label]`` CSV."""
+    """Read points (and labels when present) from an ``x,y[,label]`` CSV.
+
+    A malformed row raises ``ValueError`` naming the file and line.
+    """
     names = {v: k for k, v in LABEL_NAMES.items()}
     points, labels = [], []
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV, expected an x,y[,label] header")
         has_label = len(header) >= 3 and header[2].strip().lower() == "label"
+        width = 3 if has_label else 2
         for row in reader:
-            points.append((float(row[0]), float(row[1])))
+            where = f"{path}, line {reader.line_num}"
+            if len(row) < width:
+                raise ValueError(f"{where}: expected {width} fields, got {len(row)}")
+            try:
+                points.append((float(row[0]), float(row[1])))
+            except ValueError:
+                raise ValueError(f"{where}: coordinates {row[:2]} are not numbers") from None
             if has_label:
-                labels.append(names[row[2].strip().lower()])
+                label = row[2].strip().lower()
+                if label not in names:
+                    raise ValueError(f"{where}: unknown label {row[2]!r}, not retain or forget")
+                labels.append(names[label])
     pts = np.asarray(points, dtype=np.float64)
     return pts, (np.asarray(labels) if has_label else None)

@@ -1,13 +1,12 @@
-"""Minimal float64 numerics: autodiff tensor, MLP, optimizers, checkpoints."""
+"""Minimal float64 numerics: MLP with explicit backward, optimizers, checkpoints."""
 
 from .checkpoint import CheckpointError, load_mlp, mlp_from_buffer, mlp_to_bytes, save_mlp
 from .nn import DEFAULT_HIDDEN, Mlp, bce_with_logits, velocity_mlp
 from .optim import Adam, Sgd, StaleGradientError
-from .tensor import AutodiffError, NonFiniteError, ShapeError, Tensor, as_tensor
+from .tensor import AutodiffError, NonFiniteError, ShapeError, Tensor
 
 __all__ = [
     "Tensor",
-    "as_tensor",
     "AutodiffError",
     "ShapeError",
     "NonFiniteError",

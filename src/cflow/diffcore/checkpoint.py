@@ -9,6 +9,7 @@ Layout (all integers little-endian uint32, floats little-endian float64):
     uint32 * L   layer widths
     float64 *    parameter blocks in declaration order:
                  for each layer, W (fan_in * fan_out, row-major) then b
+                 (this is ``Mlp.theta`` as it lies in memory)
 
 Round trips are bit-exact: the same bytes are produced for the same
 parameters, and loading restores them exactly.
@@ -22,9 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import Mlp
+from .nn import Mlp, num_parameters
 
-__all__ = ["save_mlp", "load_mlp", "mlp_to_bytes", "mlp_from_buffer", "CheckpointError"]
+__all__ = [
+    "save_mlp",
+    "load_mlp",
+    "mlp_to_bytes",
+    "mlp_from_buffer",
+    "read_exact",
+    "read_u32",
+    "read_text",
+    "CheckpointError",
+]
 
 MAGIC = b"CFLOWNET"
 VERSION = 1
@@ -43,33 +53,29 @@ def mlp_to_bytes(model: Mlp, kind: str = "mlp") -> bytes:
     buf.write(tag)
     buf.write(struct.pack("<I", len(model.widths)))
     buf.write(struct.pack(f"<{len(model.widths)}I", *model.widths))
-    for w, b in model.layers:
-        buf.write(np.ascontiguousarray(w.data, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(b.data, dtype="<f8").tobytes())
+    buf.write(np.ascontiguousarray(model.theta, dtype="<f8").tobytes())
     return buf.getvalue()
 
 
 def mlp_from_buffer(buf: io.BufferedIOBase) -> tuple[Mlp, str]:
-    """Read one serialized network from ``buf``; returns (model, kind tag)."""
+    """Read one serialized network from a seekable ``buf``; returns
+    (model, kind tag). Sizes are checked against the bytes left before
+    anything is allocated."""
     magic = buf.read(len(MAGIC))
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}; not a network checkpoint")
-    (version,) = struct.unpack("<I", _read_exact(buf, 4))
+    version = read_u32(buf)
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (tag_len,) = struct.unpack("<I", _read_exact(buf, 4))
-    kind = _read_exact(buf, tag_len).decode("utf-8")
-    (n_widths,) = struct.unpack("<I", _read_exact(buf, 4))
-    widths = list(struct.unpack(f"<{n_widths}I", _read_exact(buf, 4 * n_widths)))
-    model = Mlp(widths, seed=0)
-    arrays = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        w = np.frombuffer(_read_exact(buf, 8 * fan_in * fan_out), dtype="<f8")
-        b = np.frombuffer(_read_exact(buf, 8 * fan_out), dtype="<f8")
-        arrays.append(w.reshape(fan_in, fan_out))
-        arrays.append(b)
-    model.load_state_arrays(arrays)
-    return model, kind
+    kind = read_text(buf, read_u32(buf), "kind tag")
+    n_widths = read_u32(buf)
+    widths = list(struct.unpack(f"<{n_widths}I", read_exact(buf, 4 * n_widths)))
+    if n_widths < 2 or min(widths) < 1:
+        raise CheckpointError(f"invalid layer widths {widths[:8]} (count {n_widths})")
+    theta = np.frombuffer(read_exact(buf, 8 * num_parameters(widths)), dtype="<f8")
+    if not np.all(np.isfinite(theta)):
+        raise CheckpointError("non-finite parameter in checkpoint")
+    return Mlp(widths, theta=theta), kind
 
 
 def save_mlp(model: Mlp, path: str | Path, kind: str = "mlp") -> None:
@@ -87,8 +93,23 @@ def load_mlp(path: str | Path, expect_kind: str | None = None) -> tuple[Mlp, str
     return model, kind
 
 
-def _read_exact(buf: io.BufferedIOBase, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise CheckpointError("truncated checkpoint")
-    return data
+def read_exact(buf: io.BufferedIOBase, n: int) -> bytes:
+    """The next ``n`` bytes of a seekable ``buf``; fails, without reading,
+    when fewer remain."""
+    pos = buf.tell()
+    remaining = buf.seek(0, io.SEEK_END) - pos
+    buf.seek(pos)
+    if n > remaining:
+        raise CheckpointError(f"truncated checkpoint: {n} bytes needed, {remaining} left")
+    return buf.read(n)
+
+
+def read_u32(buf: io.BufferedIOBase) -> int:
+    return struct.unpack("<I", read_exact(buf, 4))[0]
+
+
+def read_text(buf: io.BufferedIOBase, n: int, what: str) -> str:
+    try:
+        return read_exact(buf, n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not UTF-8: {exc}") from None

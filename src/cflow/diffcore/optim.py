@@ -1,14 +1,17 @@
-"""First-order optimizers for Mlp parameters.
+"""First-order optimizers over an Mlp's flat parameter vector.
 
-``step()`` consumes the gradients populated by ``backward()`` and clears
-them; stepping again without a fresh backward raises ``StaleGradientError``.
+``step()`` consumes the gradient that ``backward()`` wrote into the
+model's ``grad`` and marks it stale; stepping again without a fresh
+backward raises ``StaleGradientError``. Each update is one elementwise
+pass over ``theta``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import AutodiffError, NonFiniteError, Tensor
+from .nn import Mlp
+from .tensor import AutodiffError, _check_finite
 
 __all__ = ["Sgd", "Adam", "StaleGradientError"]
 
@@ -18,41 +21,29 @@ class StaleGradientError(AutodiffError):
 
 
 class _Optimizer:
-    def __init__(self, params: list[Tensor], lr: float):
+    def __init__(self, model: Mlp, lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        self.params = list(params)
+        self.model = model
         self.lr = float(lr)
         self.step_count = 0
 
-    def _take_grads(self) -> list[np.ndarray]:
-        grads = []
-        for p in self.params:
-            if p.grad is None:
-                raise StaleGradientError("step() before backward(): gradients are empty")
-            if not np.all(np.isfinite(p.grad)):
-                raise NonFiniteError("non-finite gradient at step()")
-            grads.append(p.grad)
-        return grads
-
-    def _clear(self) -> None:
-        for p in self.params:
-            p.grad = None
-        self.step_count += 1
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+    def _take_grad(self) -> np.ndarray:
+        if not self.model.grad_fresh:
+            raise StaleGradientError("step() before backward(): gradients are stale")
+        _check_finite(self.model.grad, "gradient at step()")
+        self.model.grad_fresh = False
+        return self.model.grad
 
 
 class Sgd(_Optimizer):
     """Plain gradient descent: theta <- theta - lr * grad."""
 
     def step(self) -> None:
-        grads = self._take_grads()
-        for p, g in zip(self.params, grads):
-            p.data = p.data - self.lr * g
-        self._clear()
+        g = self._take_grad()
+        theta = self.model.theta
+        theta -= self.lr * g
+        self.step_count += 1
 
 
 class Adam(_Optimizer):
@@ -60,31 +51,31 @@ class Adam(_Optimizer):
 
     def __init__(
         self,
-        params: list[Tensor],
+        model: Mlp,
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        super().__init__(params, lr)
+        super().__init__(model, lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(model.theta)
+        self.v = np.zeros_like(model.theta)
 
     def step(self) -> None:
-        grads = self._take_grads()
+        g = self._take_grad()
         t = self.step_count + 1
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            m, v = self.m[i], self.v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            denom = np.sqrt(v / bc2)
-            denom += self.eps
-            p.data = p.data - (self.lr / bc1) * m / denom
-        self._clear()
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        denom = np.sqrt(v / bc2)
+        denom += self.eps
+        theta = self.model.theta
+        theta -= (self.lr / bc1) * m / denom
+        self.step_count = t

@@ -1,27 +1,20 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Scalar loss handles and the errors of the float64 numerics.
 
-A ``Tensor`` wraps a numpy array and records the operations applied to it
-on a dynamic tape (one graph per forward pass). Calling ``backward()`` on a
-scalar result walks the tape in reverse topological order and accumulates
-``grad`` buffers on every tensor that requires gradients.
+A loss function returns a ``Tensor``: the loss value plus the steps that
+push its gradient back. ``backward()`` walks a short parent chain (the loss
+node, then the network output node), each step mapping the gradient of its
+output to the gradient of its parent; the network node writes the
+parameter gradient into its ``Mlp``'s flat ``grad`` buffer.
 
-Only the operations needed by the MLPs, the training losses, and the
-metrics are implemented; this is not a general-purpose autodiff system.
-Every forward result and every gradient buffer is checked for NaN/Inf and
-raises ``NonFiniteError`` instead of letting bad values propagate.
+Every forward value and every gradient is checked for NaN/Inf and raises
+``NonFiniteError`` instead of letting bad values propagate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "AutodiffError",
-    "ShapeError",
-    "NonFiniteError",
-    "as_tensor",
-]
+__all__ = ["Tensor", "AutodiffError", "ShapeError", "NonFiniteError"]
 
 
 class AutodiffError(Exception):
@@ -43,253 +36,44 @@ def _check_finite(arr: np.ndarray, context: str) -> None:
         raise NonFiniteError(f"non-finite values encountered in {context}")
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
-    """A float64 array plus an optional gradient buffer and tape linkage."""
+    """A float64 value and, when differentiable, its link to a parent.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    ``backward_fn(grad)`` receives the gradient of this value and returns
+    the gradient of ``parent`` (or None when it is the last node).
+    """
 
-    def __init__(self, data, requires_grad: bool = False):
+    __slots__ = ("data", "_parent", "_backward")
+
+    def __init__(self, data, parent: "Tensor | None" = None, backward_fn=None):
         arr = np.asarray(data, dtype=np.float64)
         _check_finite(arr, "tensor construction")
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
-
-    # -- introspection -------------------------------------------------
+        self._parent = parent
+        self._backward = backward_fn
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- graph construction --------------------------------------------
-
-    @staticmethod
-    def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward, context: str) -> "Tensor":
-        _check_finite(data, context)
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward
-        else:
-            out._parents = ()
-            out._backward = None
-        return out
-
-    def _accumulate(self, grad: np.ndarray) -> None:
-        # grads are never mutated in place, so sharing views here is safe
-        _check_finite(grad, "gradient accumulation")
-        if self.grad is None:
-            self.grad = grad
-        else:
-            self.grad = self.grad + grad
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        data = self.data + other.data
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.shape))
-
-        return Tensor._result(data, (self, other), backward, "add")
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        data = self.data - other.data
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-out.grad, other.shape))
-
-        return Tensor._result(data, (self, other), backward, "sub")
-
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) - self
-
-    def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        data = self.data * other.data
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
-
-        return Tensor._result(data, (self, other), backward, "mul")
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        data = -self.data
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(-out.grad)
-
-        return Tensor._result(data, (self,), backward, "neg")
-
-    def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        data = self.data / other.data
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-out.grad * self.data / (other.data * other.data), other.shape)
-                )
-
-        return Tensor._result(data, (self, other), backward, "div")
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("exponent must be a Python number")
-        data = self.data ** exponent
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._result(data, (self,), backward, "pow")
-
-    def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeError("matmul requires two 2-D tensors")
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(f"matmul mismatch: {self.shape} @ {other.shape}")
-        data = self.data @ other.data
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad @ other.data.T)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ out.grad)
-
-        return Tensor._result(data, (self, other), backward, "matmul")
-
-    # -- nonlinearities and reductions -----------------------------------
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * (1.0 - out.data * out.data))
-
-        return Tensor._result(data, (self,), backward, "tanh")
-
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad * out.data)
-
-        return Tensor._result(data, (self,), backward, "exp")
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accumulate(out.grad / self.data)
-
-        return Tensor._result(data, (self,), backward, "log")
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        data = self.data.sum(axis=axis)
-
-        def backward(out):
-            if self.requires_grad:
-                if axis is None:
-                    self._accumulate(np.broadcast_to(out.grad, self.shape))
-                else:
-                    self._accumulate(np.broadcast_to(np.expand_dims(out.grad, axis), self.shape))
-
-        return Tensor._result(np.asarray(data), (self,), backward, "sum")
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        count = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis) / float(count)
-
-    # -- backward pass ----------------------------------------------------
+        return f"Tensor(shape={self.shape}, differentiable={self._backward is not None})"
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor with requires_grad.
+        """Push d(self)/d(self) = 1 down the chain; only defined for scalars.
 
-        Only defined for scalar results; the tape is walked once in reverse
-        topological order and is not reusable afterwards.
+        Each node's step runs once: the chain is consumed by the walk.
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
-        if not self.requires_grad:
+        if self._backward is None:
             raise AutodiffError("backward() on a tensor with no differentiable parents")
-
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen and parent.requires_grad:
-                    stack.append((parent, False))
-
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node)
-                node._backward = None
-                node._parents = ()
-
-
-def as_tensor(value) -> Tensor:
-    """Wrap plain numbers/arrays as constant tensors; pass tensors through."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
+        node, grad = self, 1.0
+        while node is not None and node._backward is not None:
+            step, parent = node._backward, node._parent
+            node._backward = node._parent = None
+            grad = step(grad)
+            node = parent

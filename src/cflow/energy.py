@@ -256,7 +256,7 @@ def train_classifier(
     x_hold, y_hold = data.points[holdout_idx], labels[holdout_idx]
 
     net = Mlp([2, *cfg.hidden, 1], seed=cfg.seed)
-    opt = Adam(net.parameters(), lr=cfg.lr)
+    opt = Adam(net, lr=cfg.lr)
     n_train = x_train.shape[0]
     for _ in range(cfg.steps):
         idx = rng.integers(0, n_train, size=cfg.batch)

@@ -45,7 +45,13 @@ from scipy.optimize import linear_sum_assignment
 
 from .datasets import EmpiricalSampler, GaussianSampler, LabeledDataset
 from .diffcore import Adam, Mlp, Sgd, Tensor, velocity_mlp
-from .diffcore.checkpoint import CheckpointError, mlp_from_buffer, mlp_to_bytes
+from .diffcore.checkpoint import (
+    CheckpointError,
+    mlp_from_buffer,
+    mlp_to_bytes,
+    read_text,
+    read_u32,
+)
 from .diffcore.nn import row_sq_error_mean
 from .energy import EnergySpec
 
@@ -184,7 +190,7 @@ def _field_prediction(
     if len(coupling) == 0:
         raise ValueError("empty batch")
     xt = conditional_sample(coupling.x0, coupling.x1, t, sigma, rng)
-    return model.velocity(t, xt), target_velocity(coupling.x0, coupling.x1)
+    return model(model.velocity_input(t, xt)), target_velocity(coupling.x0, coupling.x1)
 
 
 def cfm_loss(
@@ -213,7 +219,7 @@ def erfm_loss(
     Weights w = sigmoid(-lam * F(x1)) are constants of the batch (no
     gradient flows through them). The normalized form divides by sum(w);
     when all weights are equal they cancel exactly, so the computation
-    falls through to the identical graph ``cfm_loss`` builds.
+    falls through to the identical computation ``cfm_loss`` runs.
     """
     if len(coupling) == 0:
         raise ValueError("empty batch")
@@ -309,8 +315,8 @@ class FlowModel:
         return self.field.out_dim
 
     def velocity(self, t, x) -> np.ndarray:
-        """This model's own field, evaluated without the tape."""
-        return self.field.velocity(t, x, raw=True)
+        """This model's own field, evaluated by the inference forward pass."""
+        return self.field.velocity(t, x)
 
     def push(self, x: np.ndarray, n_steps: int | None = None) -> np.ndarray:
         """Transport points through the whole chain ending at this field."""
@@ -391,7 +397,7 @@ def train(
         field = (init.field if isinstance(init, FlowModel) else init).copy()
 
     opt_cls = Adam if cfg.optimizer == "adam" else Sgd
-    opt = opt_cls(field.parameters(), lr=cfg.lr)
+    opt = opt_cls(field, lr=cfg.lr)
     rng = np.random.default_rng([cfg.seed, 0x7261696E])  # step stream (t, noise)
     data_sampler = (
         EmpiricalSampler(target.points, seed=[cfg.seed, 0x64617461]) if dataset_mode else None
@@ -533,18 +539,25 @@ def load_model(path: str | Path) -> FlowModel:
     buf = io.BytesIO(path.read_bytes())
     if buf.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
         raise CheckpointError(f"{path} is not a flow model checkpoint")
-    (version,) = struct.unpack("<I", buf.read(4))
+    version = read_u32(buf)
     if version != MODEL_VERSION:
         raise CheckpointError(f"unsupported model checkpoint version {version}")
-    (meta_len,) = struct.unpack("<I", buf.read(4))
-    meta = json.loads(buf.read(meta_len).decode())
-    (chain_len,) = struct.unpack("<I", buf.read(4))
+    try:
+        meta = json.loads(read_text(buf, read_u32(buf), "metadata"))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: unreadable metadata: {exc}") from None
+    provenance = meta.get("provenance", {}) if isinstance(meta, dict) else None
+    if not isinstance(provenance, dict):
+        raise CheckpointError(f"{path}: metadata is not a provenance mapping")
+    chain_len = read_u32(buf)
     if chain_len < 1:
         raise CheckpointError("model checkpoint has an empty chain")
     model = None
     for i in range(chain_len):
-        (stage_steps,) = struct.unpack("<I", buf.read(4))
+        stage_steps = read_u32(buf)
+        if stage_steps < 1:
+            raise CheckpointError(f"stage {i} has a zero step count")
         net, _ = mlp_from_buffer(buf)
-        provenance = meta.get("provenance", {}) if i == chain_len - 1 else {}
-        model = FlowModel(net, parent=model, n_steps=stage_steps, provenance=provenance)
+        own = provenance if i == chain_len - 1 else {}
+        model = FlowModel(net, parent=model, n_steps=stage_steps, provenance=own)
     return model

@@ -3,30 +3,22 @@
 import numpy as np
 
 
-def finite_difference_grads(loss_fn, params, h=1e-5):
-    """Central-difference gradient of loss_fn() w.r.t. every parameter entry."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        it = np.nditer(p.data, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p.data[idx]
-            p.data = p.data.copy()
-            p.data[idx] = orig + h
-            up = loss_fn()
-            p.data = p.data.copy()
-            p.data[idx] = orig - h
-            down = loss_fn()
-            p.data = p.data.copy()
-            p.data[idx] = orig
-            g[idx] = (up - down) / (2 * h)
-        grads.append(g)
-    return grads
+def finite_difference_grads(loss_fn, theta, h=1e-5):
+    """Central-difference gradient of loss_fn() w.r.t. every entry of the
+    flat parameter vector ``theta``, perturbed in place and restored."""
+    g = np.zeros_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        up = loss_fn()
+        theta[i] = orig - h
+        down = loss_fn()
+        theta[i] = orig
+        g[i] = (up - down) / (2 * h)
+    return g
 
 
 def flatten_grads(model) -> np.ndarray:
-    g = np.concatenate([p.grad.ravel() for p in model.parameters()])
-    for p in model.parameters():
-        p.grad = None
-    return g
+    """Copy of the model's flat gradient, which is then marked consumed."""
+    model.grad_fresh = False
+    return model.grad.copy()

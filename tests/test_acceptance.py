@@ -164,16 +164,13 @@ class TestCriterion4Autodiff:
                 return float(((out - target) ** 2).sum(axis=1).mean())
 
             row_sq_error_mean(model(x), target).backward()
-            analytic = [p.grad.copy() for p in model.parameters()]
-            for p in model.parameters():
-                p.grad = None
-            numeric = finite_difference_grads(loss_fn, model.parameters())
-            for a, n in zip(analytic, numeric):
-                scale = np.maximum(np.abs(n), 1e-6)
-                tol = np.where(np.abs(n) < 1e-6, 1e-3, 1e-4)
-                dev = np.abs(a - n) / scale
-                assert np.all(dev <= tol)
-                worst = max(worst, float(np.max(dev)))
+            analytic = flatten_grads(model)
+            numeric = finite_difference_grads(loss_fn, model.theta)
+            scale = np.maximum(np.abs(numeric), 1e-6)
+            tol = np.where(np.abs(numeric) < 1e-6, 1e-3, 1e-4)
+            dev = np.abs(analytic - numeric) / scale
+            assert np.all(dev <= tol)
+            worst = max(worst, float(np.max(dev)))
         report_pass("criterion 4 (autodiff correctness)", f"worst rel dev={worst:.2e}")
 
 
@@ -314,8 +311,8 @@ class TestCriterion10BaselineOrdering:
 class TestCriterion11EulerOrder:
     def test_convergence_slope_on_linear_field(self):
         net = Mlp([3, 2], seed=0)
-        net.layers[0][0].data = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        net.layers[0][1].data = np.zeros(2)
+        net.layers[0][0][...] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+        net.layers[0][1][...] = 0.0
         model = flow.FlowModel(net, n_steps=10)
         x0 = np.array([[1.0, 0.0]])
         field = lambda t, y: model.velocity(t, y)

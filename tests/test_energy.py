@@ -187,8 +187,7 @@ class TestTrainClassifier:
         cfg = en.ClassifierConfig(steps=150, seed=5)
         a = en.train_classifier(circles_data, cfg)
         b = en.train_classifier(circles_data, cfg)
-        for pa, pb in zip(a.net.parameters(), b.net.parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
+        np.testing.assert_array_equal(a.net.theta, b.net.theta)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", ["moons", "gaussians6", "checkerboard"])

@@ -1,6 +1,7 @@
 """Path primitives, losses, couplings, training loop, and the integrator."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -24,15 +25,15 @@ def brute_force_assignment_cost(x0, x1):
 def linear_field_model(n_steps=10):
     """Single linear layer computing v(t, x) = x (time column zeroed)."""
     net = Mlp([3, 2], seed=0)
-    net.layers[0][0].data = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    net.layers[0][1].data = np.zeros(2)
+    net.layers[0][0][...] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    net.layers[0][1][...] = 0.0
     return flow.FlowModel(net, n_steps=n_steps)
 
 
 def constant_field_model(vec, n_steps=10):
     net = Mlp([3, 2], seed=0)
-    net.layers[0][0].data = np.zeros((3, 2))
-    net.layers[0][1].data = np.asarray(vec, dtype=float)
+    net.layers[0][0][...] = 0.0
+    net.layers[0][1][...] = vec
     return flow.FlowModel(net, n_steps=n_steps)
 
 
@@ -367,8 +368,7 @@ class TestTraining:
         cfg = flow.TrainConfig(mode="learn", steps=40, batch=64, seed=5)
         m1 = flow.train(cfg, ds.GaussianSampler(seed=9), data)
         m2 = flow.train(cfg, ds.GaussianSampler(seed=9), data)
-        for p1, p2 in zip(m1.field.parameters(), m2.field.parameters()):
-            np.testing.assert_array_equal(p1.data, p2.data)
+        np.testing.assert_array_equal(m1.field.theta, m2.field.theta)
 
     def test_refit_ot_cost_never_exceeds_independent(self):
         data = ds.generate("circles", 512, 1)
@@ -400,8 +400,7 @@ class TestModelPersistence:
         loaded = flow.load_model(path)
         assert loaded.n_steps == 7
         assert loaded.provenance == model.provenance
-        for p1, p2 in zip(model.field.parameters(), loaded.field.parameters()):
-            np.testing.assert_array_equal(p1.data, p2.data)
+        np.testing.assert_array_equal(model.field.theta, loaded.field.theta)
         # serialized bytes identical after a round trip
         flow.save_model(loaded, tmp_path / "again.bin")
         assert path.read_bytes() == (tmp_path / "again.bin").read_bytes()
@@ -420,3 +419,30 @@ class TestModelPersistence:
 
         with pytest.raises(CheckpointError):
             flow.load_model(tmp_path / "ghost.bin")
+
+    def test_every_truncation_rejected(self, tmp_path):
+        from cflow.diffcore import CheckpointError
+
+        inner = constant_field_model([1.0, 0.0], n_steps=4)
+        outer = flow.FlowModel(linear_field_model().field, parent=inner, n_steps=9)
+        path = tmp_path / "chain.bin"
+        flow.save_model(outer, path)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError):
+                flow.load_model(path)
+
+    @pytest.mark.parametrize(
+        "meta", [b"\xff\xfe", b"{not json", b"[1, 2]", b'{"provenance": 3}', b"[" * 100_000]
+    )
+    def test_unreadable_metadata_rejected(self, tmp_path, meta):
+        from cflow.diffcore import CheckpointError
+
+        path = tmp_path / "model.bin"
+        flow.save_model(linear_field_model(), path)
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", raw[12:16])
+        path.write_bytes(raw[:12] + struct.pack("<I", len(meta)) + meta + raw[16 + meta_len :])
+        with pytest.raises(CheckpointError):
+            flow.load_model(path)

@@ -9,6 +9,7 @@ from cflow import datasets as ds
 from cflow import flow
 from cflow import harness
 from cflow import metrics as me
+from cflow.diffcore import velocity_mlp
 
 
 def tiny_spec(tmp_path, pipeline="learn", **overrides):
@@ -293,3 +294,53 @@ class TestCli:
     def test_runtime_error_exit_code(self, tmp_path):
         assert cli.main(["sample", "--ckpt", str(tmp_path / "none.bin"),
                          "--out", str(tmp_path / "s.csv")]) == 4
+
+    def test_truncated_model_exit_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.bin"
+        model = flow.FlowModel(velocity_mlp(seed=0), n_steps=3)
+        flow.save_model(model, ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:14])
+        assert cli.main(["sample", "--ckpt", str(ckpt), "--out", str(tmp_path / "s.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated checkpoint") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_training_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        spec = tiny_spec(tmp_path, train={"steps": 5, "batch": 16, "lr": 1e300})
+        with cfg.open("w") as fh:
+            yaml.safe_dump(harness._plain(spec.to_dict()), fh)
+        assert cli.main(["train", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite values") and err.count("\n") == 1
+
+    def test_suppressed_batch_exit_code(self, tmp_path, capsys, monkeypatch):
+        def suppressed(*args, **kwargs):
+            raise flow.FullySuppressedBatchError("batch weight sum 0.000e+00 below 1e-12")
+
+        monkeypatch.setattr(flow, "train", suppressed)
+        cfg = tmp_path / "exp.yaml"
+        with cfg.open("w") as fh:
+            yaml.safe_dump(harness._plain(tiny_spec(tmp_path).to_dict()), fh)
+        assert cli.main(["train", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch weight sum") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("x,y,label\n0.5,0.5,retain\n0.25\n", "line 3: expected 3 fields, got 1"),
+            ("x,y,label\n0.5,0.5,keep\n", "line 2: unknown label 'keep'"),
+            ("x,y\n0.5,zero\n", "line 2: coordinates"),
+        ],
+        ids=["short-row", "unknown-label", "bad-number"],
+    )
+    def test_malformed_points_csv_exit_code(self, tmp_path, capsys, rows, message):
+        pts_csv = tmp_path / "pts.csv"
+        pts_csv.write_text(rows)
+        espec = tmp_path / "energy.yaml"
+        espec.write_text("kind: analytic\nbenchmark: circles\nlam: 5.0\n")
+        assert cli.main(["energy", "eval", "--spec", str(espec), "--points", str(pts_csv),
+                         "--out", str(tmp_path / "scored.csv")]) == 4
+        err = capsys.readouterr().err
+        assert f"{pts_csv}, {message}" in err and err.count("\n") == 1
