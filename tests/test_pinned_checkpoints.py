@@ -43,6 +43,12 @@ def _unlearn(energy):
     return flow.train(_cfg("unlearn-erfm", sigma=0.05), q0, energy, parent=parent)
 
 
+def _unlearn_pool(benchmark, energy, parent=None):
+    """unlearn-erfm drawing both endpoints from a data pool (EmpiricalSampler)."""
+    q0 = ds.EmpiricalSampler(ds.generate(benchmark, 512, seed=10).points, seed=11)
+    return flow.train(_cfg("unlearn-erfm", sigma=0.05), q0, energy, parent=parent, init=parent)
+
+
 def _refit():
     parent = _learn()
     q0 = flow.ModelSampler(parent, seed=5, n_steps=4)
@@ -66,6 +72,12 @@ CASES = {
     "learn": lambda: _learn().field,
     "unlearn-erfm-region": lambda: _unlearn(en.RegionEnergy("circles", 5.0)).field,
     "unlearn-erfm-constant": lambda: _unlearn(en.ConstantEnergy(0.3, lam=2.0)).field,
+    "unlearn-erfm-pool-classifier": lambda: _unlearn_pool(
+        "circles", en.ClassifierEnergy(_classifier(), 5.0), parent=_learn()
+    ).field,
+    "unlearn-erfm-pool-region": lambda: _unlearn_pool(
+        "checkerboard", en.RegionEnergy("checkerboard", 5.0)
+    ).field,
     "refit-ot": lambda: _refit().field,
     "finetune": lambda: _finetune().field,
     "learn-sgd": lambda: _learn(optimizer="sgd", lr=0.05).field,
@@ -79,6 +91,8 @@ PINNED = {
     "learn-sgd": "bca89c0c429e47f0af9b7bcfdf45be5f8c67285f891756b63b9fb47595b4118d",
     "refit-ot": "a2514fcc84c603774a7f0cc65911441d68cca3235a5eb21912ff4ec184fdeb0c",
     "unlearn-erfm-constant": "5200539835c0d9405d89ad1a0fe17c6e7626842ff15277942d46041e326f9bc9",
+    "unlearn-erfm-pool-classifier": "4cbeb2061f25f8fd84fde5bac40b01306930171ddaef26b8ff08b7b48b154087",
+    "unlearn-erfm-pool-region": "63322597e05627566ea660d5696bd458bf4d02ee40dd1377f7944c7f73013635",
     "unlearn-erfm-region": "fb325a00dfc19f5445e59480a2cfa3215e939ab1a71de9f600cfb734d4f9dbdc",
 }
 
