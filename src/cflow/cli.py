@@ -96,24 +96,33 @@ def _cmd_traj(args) -> int:
     return 0
 
 
-def _cmd_energy_eval(args) -> int:
-    with Path(args.spec).open() as fh:
+def _energy_from_spec(path: str) -> en.EnergySpec:
+    """The energy an ``energy eval`` spec file describes; ConfigError if malformed."""
+    with Path(path).open() as fh:
         raw = yaml.safe_load(fh)
-    allowed = {"kind", "lam", "sharpness", "benchmark", "classifier_ckpt"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise harness.ConfigError(f"unknown energy spec keys: {sorted(unknown)}")
-    lam = float(raw.get("lam", 5.0))
-    if raw.get("kind", "analytic") == "classifier":
-        net, kind = load_mlp(raw["classifier_ckpt"])
-        if not kind.startswith("classifier"):
-            raise harness.ConfigError(f"{args.spec}: checkpoint kind {kind!r} is not a classifier")
-        clf = en.BinaryClassifier(net=net, trained_on=kind, trained=True)
-        spec = en.from_classifier(clf, lam)
-    else:
-        spec = en.RegionEnergy(
-            raw["benchmark"], lam, sharpness=float(raw.get("sharpness", en.DEFAULT_SHARPNESS))
-        )
+    if not isinstance(raw, dict) or not raw:
+        raise harness.ConfigError(f"{path}: energy spec must be a non-empty mapping")
+    sources = {"analytic": "benchmark", "classifier": "classifier_ckpt"}
+    fields = {k: v for k, v in raw.items() if k not in sources.values()}
+    section = harness._build_section(harness.EnergySection, fields, "energy spec")
+    key = sources[section.kind]
+    if key not in raw:
+        raise harness.ConfigError(f"{path}: energy kind {section.kind!r} needs a {key!r} key")
+    if section.kind == "analytic":
+        if raw["benchmark"] not in ds.BENCHMARKS:
+            raise harness.ConfigError(
+                f"{path}: unknown benchmark {raw['benchmark']!r}; expected one of {ds.BENCHMARKS}"
+            )
+        return en.RegionEnergy(raw["benchmark"], section.lam, sharpness=section.sharpness)
+    net, kind = load_mlp(raw["classifier_ckpt"])
+    if not kind.startswith("classifier"):
+        raise harness.ConfigError(f"{path}: checkpoint kind {kind!r} is not a classifier")
+    clf = en.BinaryClassifier(net=net, trained_on=kind, trained=True)
+    return en.from_classifier(clf, section.lam)
+
+
+def _cmd_energy_eval(args) -> int:
+    spec = _energy_from_spec(args.spec)
     points, _ = ds.load_csv(args.points)
     values = spec.evaluate(points)
     weights = spec.weight(points)

@@ -257,11 +257,14 @@ class EmpiricalSampler:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def sample(self, n: int) -> np.ndarray:
+    def sample_indices(self, n: int) -> np.ndarray:
+        """Row indices of the next ``n`` draws; ``sample`` takes these rows."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        idx = self._rng.integers(0, self.points.shape[0], size=n)
-        return self.points[idx]
+        return self._rng.integers(0, self.points.shape[0], size=n)
+
+    def sample(self, n: int) -> np.ndarray:
+        return self.points[self.sample_indices(n)]
 
 
 # -- CSV interchange -------------------------------------------------------

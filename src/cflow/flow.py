@@ -27,6 +27,20 @@ minibatch optimal-transport assignment minimizing total squared distance.
                     the energy weights, steering mass off high-energy
                     regions without forget samples.
 
+The energy is frozen while a stage unlearns, so a weight depends only on
+its point. When the source is a point pool (an ``EmpiricalSampler`` over
+the training data or over a cached model-source pool), the weights of the
+whole pool are computed once before the first step and each batch looks
+its weights up by draw index; other sources are scored batch by batch.
+Besides ``loss``, an unlearn-erfm loss trace records two columns per step,
+both taken from the weights of the accepted batch:
+
+* ``weight_mean``  mean weight, the acceptance rate of the rejection-
+                   sampling view of the reweighting.
+* ``ess_frac``     Kish effective sample fraction (sum w)^2 / (B sum w^2):
+                   1 when all weights are equal, 1/B when one pair
+                   carries all the weight.
+
 Sampling integrates the learned ODE with forward Euler over t in [0, 1].
 A model trained on top of another model's outputs keeps that parent in its
 chain, so generation always starts from the standard Gaussian root.
@@ -66,6 +80,7 @@ __all__ = [
     "target_velocity",
     "cfm_loss",
     "erfm_loss",
+    "weight_stats",
     "independent_coupling",
     "ot_coupling",
     "train",
@@ -223,7 +238,19 @@ def erfm_loss(
     """
     if len(coupling) == 0:
         raise ValueError("empty batch")
-    w = energy.weight(coupling.x1)
+    return _weighted_loss(model, coupling, t, energy.weight(coupling.x1), sigma, rng, normalized)
+
+
+def _weighted_loss(
+    model: Mlp,
+    coupling: Coupling,
+    t: np.ndarray,
+    w: np.ndarray,
+    sigma: float = 0.0,
+    rng: np.random.Generator | None = None,
+    normalized: bool = True,
+) -> Tensor:
+    """``erfm_loss`` with the pair weights ``w`` already computed."""
     if w.sum() < SUPPRESSED_WEIGHT_SUM:
         raise FullySuppressedBatchError(
             f"batch weight sum {w.sum():.3e} below {SUPPRESSED_WEIGHT_SUM:.0e}; "
@@ -235,6 +262,12 @@ def erfm_loss(
         # the plain CFM mean on the same batch
         return row_sq_error_mean(v, delta)
     return row_sq_error_mean(v, delta, weights=w, normalized=normalized)
+
+
+def weight_stats(w: np.ndarray) -> tuple[float, float]:
+    """Mean weight and Kish effective sample fraction (sum w)^2 / (B sum w^2)."""
+    total = w.sum()
+    return float(total / w.size), float(total * total / (w.size * (w * w).sum()))
 
 
 # -- training -----------------------------------------------------------------
@@ -375,6 +408,14 @@ def train(
     this field at sampling time; ``init`` (a field or model) seeds the
     weights instead of a fresh Glorot draw.
 
+    An unlearn-erfm stage with an ``EmpiricalSampler`` source scores the
+    pool once (see the module docstring). The looked-up weights equal those
+    of scoring each batch, bit for bit, when the energy scores a row
+    independently of the rows around it, as the analytic energies do. A
+    classifier energy runs matmuls, and numpy's bundled OpenBLAS on x86-64
+    rounds the last ``B mod 4`` of B rows its own way, so there the two
+    agree when the batch and the pool sizes are multiples of 4.
+
     Deterministic: identical (cfg, q0 construction, target) reproduce the
     returned parameters bit-for-bit.
     """
@@ -403,18 +444,28 @@ def train(
         EmpiricalSampler(target.points, seed=[cfg.seed, 0x64617461]) if dataset_mode else None
     )
     use_ot = cfg.resolved_coupling() == "ot"
+    unlearn = cfg.mode == "unlearn-erfm"
+    # the energy is frozen, so a pool's weights are computed once
+    pool_w = target.weight(q0.points) if unlearn and isinstance(q0, EmpiricalSampler) else None
 
     losses: list[float] = []
     ot_costs: list[float] = []
     indep_costs: list[float] = []
+    weight_means: list[float] = []
+    ess_fracs: list[float] = []
 
     for step_idx in range(cfg.steps):
         if cfg.lr_decay == "cosine":
             frac = step_idx / cfg.steps
             opt.lr = cfg.lr * (0.01 + 0.99 * 0.5 * (1.0 + np.cos(np.pi * frac)))
         for attempt in range(MAX_BATCH_RESAMPLES + 1):
-            if cfg.mode == "unlearn-erfm":
-                both = q0.sample(2 * cfg.batch)
+            if unlearn:
+                if pool_w is None:
+                    both = q0.sample(2 * cfg.batch)
+                    w = target.weight(both[cfg.batch :])
+                else:
+                    idx = q0.sample_indices(2 * cfg.batch)
+                    both, w = q0.points[idx], pool_w[idx[cfg.batch :]]
                 x0, x1 = both[: cfg.batch], both[cfg.batch :]
             else:
                 x0 = q0.sample(cfg.batch)
@@ -427,8 +478,8 @@ def train(
             else:
                 coupling = independent_coupling(x0, x1)
             try:
-                if cfg.mode == "unlearn-erfm":
-                    loss = erfm_loss(field, coupling, t, target, sigma=cfg.sigma, rng=rng)
+                if unlearn:
+                    loss = _weighted_loss(field, coupling, t, w, sigma=cfg.sigma, rng=rng)
                 else:
                     loss = cfm_loss(field, coupling, t, sigma=cfg.sigma, rng=rng)
                 break
@@ -438,6 +489,10 @@ def train(
         loss.backward()
         opt.step()
         losses.append(loss.item())
+        if unlearn:
+            mean, ess = weight_stats(w)
+            weight_means.append(mean)
+            ess_fracs.append(ess)
 
     provenance = {
         "mode": cfg.mode,
@@ -449,6 +504,9 @@ def train(
     }
     model = FlowModel(field, parent=parent, n_steps=cfg.n_steps, provenance=provenance)
     model.loss_trace = {"loss": losses}
+    if unlearn:
+        model.loss_trace["weight_mean"] = weight_means
+        model.loss_trace["ess_frac"] = ess_fracs
     if use_ot:
         model.loss_trace["ot_cost"] = ot_costs
         model.loss_trace["independent_cost"] = indep_costs

@@ -166,6 +166,8 @@ class EnergySection:
             raise ConfigError(f"energy.kind must be analytic|classifier, got {self.kind!r}")
         if not self.lam > 0:
             raise ConfigError("energy.lam must be positive")
+        if not isinstance(self.sharpness, (int, float)) or not np.isfinite(self.sharpness):
+            raise ConfigError(f"energy.sharpness must be a finite number, got {self.sharpness!r}")
 
 
 @dataclass

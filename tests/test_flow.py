@@ -390,6 +390,133 @@ class TestTraining:
             flow.train(cfg, q0, F)
 
 
+class PoolFreeSampler:
+    """Makes an EmpiricalSampler's draws through ``sample`` alone, with no
+    pool for ``train`` to score ahead of time."""
+
+    def __init__(self, points, seed):
+        self._inner = ds.EmpiricalSampler(points, seed=seed)
+
+    def sample(self, n):
+        return self._inner.sample(n)
+
+
+class CountingEnergy(en.CallableEnergy):
+    """Wraps another energy's field and counts the calls that reach it."""
+
+    def __init__(self, inner):
+        super().__init__(self._count, lam=inner.lam)
+        self.inner = inner
+        self.calls = 0
+
+    def _count(self, points):
+        self.calls += 1
+        return self.inner.evaluate(points)
+
+
+def _circles_classifier_energy():
+    data = ds.generate("circles", 400, seed=8)
+    clf = en.train_classifier(data, en.ClassifierConfig(steps=60, batch=32, seed=9))
+    return en.ClassifierEnergy(clf, lam=5.0)
+
+
+class TestPoolWeights:
+    """unlearn-erfm scores an EmpiricalSampler's pool once per stage."""
+
+    @staticmethod
+    def _train_both(points, make_energy, **cfg_kw):
+        cfg = flow.TrainConfig(mode="unlearn-erfm", seed=3, hidden=(16, 16), **cfg_kw)
+        runs = []
+        for sampler in (ds.EmpiricalSampler(points, seed=4), PoolFreeSampler(points, seed=4)):
+            energy = CountingEnergy(make_energy())
+            runs.append((flow.train(cfg, sampler, energy), energy.calls))
+        return runs
+
+    # the analytic energy scores every row on its own, so any sizes agree; a
+    # classifier's matmuls may round the last rows of a block differently,
+    # so its batch and pool sizes are multiples of 4 (see flow.train)
+    @pytest.mark.parametrize(
+        "bench, n, batch, make_energy",
+        [
+            ("checkerboard", 301, 27, lambda: en.RegionEnergy("checkerboard", 5.0)),
+            ("circles", 512, 32, _circles_classifier_energy),
+        ],
+        ids=["region-odd-sizes", "classifier"],
+    )
+    def test_pool_and_per_batch_weights_train_identically(self, bench, n, batch, make_energy):
+        points = ds.generate(bench, n, seed=1).points
+        (pooled, pool_calls), (plain, batch_calls) = self._train_both(
+            points, make_energy, steps=25, batch=batch, sigma=0.05
+        )
+        np.testing.assert_array_equal(pooled.field.theta, plain.field.theta)
+        assert pooled.loss_trace == plain.loss_trace
+        assert list(pooled.loss_trace) == ["loss", "weight_mean", "ess_frac"]
+        assert pool_calls == 1
+        assert batch_calls == 25
+
+    def test_mostly_suppressed_pool_resamples_identically(self):
+        # 1 point in 10 carries weight; every other weight is ~5e-22, so most
+        # batches of 4 are fully suppressed and drawn again
+        points = ds.generate("circles", 400, seed=2).points
+        keep = np.zeros(len(points), dtype=bool)
+        keep[::10] = True
+
+        def make_energy():
+            lookup = {tuple(p): -4.9 if k else 4.9 for p, k in zip(points, keep)}
+            return en.CallableEnergy(lambda x: [lookup[tuple(p)] for p in x], lam=10.0)
+
+        (pooled, pool_calls), (plain, batch_calls) = self._train_both(
+            points, make_energy, steps=20, batch=4, lam=10.0
+        )
+        np.testing.assert_array_equal(pooled.field.theta, plain.field.theta)
+        assert pooled.loss_trace == plain.loss_trace
+        assert pool_calls == 1
+        assert batch_calls > 20  # suppressed batches were drawn again
+        assert min(pooled.loss_trace["weight_mean"]) < 0.5
+
+    def test_model_sampler_source_is_scored_per_batch(self):
+        base = flow.FlowModel(velocity_mlp(hidden=(8,), seed=1), n_steps=2)
+        energy = CountingEnergy(en.RegionEnergy("circles", 5.0))
+        cfg = flow.TrainConfig(mode="unlearn-erfm", steps=6, batch=8, hidden=(8,), seed=0)
+        flow.train(cfg, flow.ModelSampler(base, seed=2), energy)
+        assert energy.calls == 6
+
+
+class TestWeightTelemetry:
+    @pytest.mark.parametrize(
+        "w, mean, ess",
+        [
+            ([0.5, 0.5, 0.5, 0.5], 0.5, 1.0),
+            ([1.0, 1.0, 0.0, 0.0], 0.5, 0.5),
+            ([1.0, 0.0, 0.0, 0.0], 0.25, 0.25),
+            ([0.2, 0.6], 0.4, 0.8),
+        ],
+    )
+    def test_weight_mean_and_kish_fraction(self, w, mean, ess):
+        got_mean, got_ess = flow.weight_stats(np.array(w))
+        assert got_mean == pytest.approx(mean, rel=1e-15)
+        assert got_ess == pytest.approx(ess, rel=1e-15)
+        assert type(got_mean) is float and type(got_ess) is float
+
+    def test_unlearn_trace_records_each_accepted_batch(self):
+        points = ds.generate("circles", 64, seed=0).points
+        energy = en.RegionEnergy("circles", 2.0)
+        cfg = flow.TrainConfig(mode="unlearn-erfm", steps=5, batch=8, hidden=(8,), seed=0, lam=2.0)
+        model = flow.train(cfg, ds.EmpiricalSampler(points, seed=1), energy)
+        replay = ds.EmpiricalSampler(points, seed=1)
+        for step in range(5):
+            w = energy.weight(replay.sample(16)[8:])
+            assert (model.loss_trace["weight_mean"][step], model.loss_trace["ess_frac"][step]) == (
+                flow.weight_stats(w)
+            )
+
+    def test_dataset_modes_keep_their_columns(self):
+        data = ds.generate("circles", 64, seed=0)
+        cfg = flow.TrainConfig(mode="learn", steps=3, batch=8, hidden=(8,), seed=0)
+        model = flow.train(cfg, ds.GaussianSampler(seed=1), data)
+        assert list(model.loss_trace) == ["loss"]
+
+
 class TestModelPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         data = ds.generate("circles", 256, 0)

@@ -6,10 +6,11 @@ import yaml
 
 from cflow import cli
 from cflow import datasets as ds
+from cflow import energy as en
 from cflow import flow
 from cflow import harness
 from cflow import metrics as me
-from cflow.diffcore import velocity_mlp
+from cflow.diffcore import save_mlp, velocity_mlp
 
 
 def tiny_spec(tmp_path, pipeline="learn", **overrides):
@@ -92,6 +93,7 @@ class TestStages:
         rows = harness.read_report_csv(d / "report.csv")
         assert len(rows) == 1
         assert rows[0].method == "learn"
+        assert (d / "loss.csv").read_text().splitlines()[0] == "step,loss"
 
     def test_dependent_stage_without_learn_rejected(self, tmp_path):
         spec = tiny_spec(tmp_path, pipeline="unlearn-erfm")
@@ -108,6 +110,11 @@ class TestStages:
         art_u = harness.run(spec.with_pipeline("unlearn-erfm"))
         assert art_u.rows[0].method == "unlearn"
         assert art_u.rows[0].lam == spec.energy.lam
+        loss_rows = (art_u.stage_dir / "loss.csv").read_text().splitlines()
+        assert loss_rows[0] == "step,loss,weight_mean,ess_frac"
+        assert len(loss_rows) == spec.train.steps + 1
+        weight_mean, ess_frac = map(float, loss_rows[1].split(",")[2:])
+        assert 0.0 < weight_mean < 1.0 and 0.0 < ess_frac <= 1.0
         art_i = harness.run(spec.with_pipeline("invert"))
         assert art_i.rows[0].method == "invert"
         loaded = flow.load_model(art_i.ckpt_path)
@@ -278,6 +285,47 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,F,weight"
         assert len(lines) == 21
+
+    def test_energy_eval_classifier_spec(self, tmp_path):
+        data = ds.generate("circles", 200, seed=0)
+        clf = en.train_classifier(data, en.ClassifierConfig(steps=20, batch=32, hidden=(8,)))
+        ckpt = tmp_path / "clf.bin"
+        save_mlp(clf.net, ckpt, kind="classifier:circles")
+        pts_csv = tmp_path / "pts.csv"
+        ds.export_csv(data, pts_csv)
+        espec = tmp_path / "energy.yaml"
+        espec.write_text(f"kind: classifier\nclassifier_ckpt: {ckpt}\nlam: 2.0\n")
+        out = tmp_path / "scored.csv"
+        assert cli.main(["energy", "eval", "--spec", str(espec),
+                         "--points", str(pts_csv), "--out", str(out)]) == 0
+        weights = np.loadtxt(out, delimiter=",", skiprows=1)[:, 3]
+        np.testing.assert_array_equal(weights, en.ClassifierEnergy(clf, 2.0).weight(data.points))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "energy spec must be a non-empty mapping"),
+            ("- kind\n- analytic\n", "energy spec must be a non-empty mapping"),
+            ("kind: region\nbenchmark: circles\n", "energy.kind must be analytic|classifier"),
+            ("kind: analytic\nlam: 5.0\n", "energy kind 'analytic' needs a 'benchmark' key"),
+            ("benchmark: spirals\n", "unknown benchmark 'spirals'"),
+            ("kind: classifier\nlam: 5.0\n", "energy kind 'classifier' needs a 'classifier_ckpt' key"),
+            ("kind: analytic\nbenchmark: circles\nlam: 0\n", "energy.lam must be positive"),
+            ("benchmark: circles\nsharpness: steep\n", "energy.sharpness must be a finite number"),
+        ],
+        ids=["empty", "non-mapping", "unknown-kind", "missing-benchmark", "unknown-benchmark",
+             "missing-classifier-ckpt", "non-positive-lam", "non-numeric-sharpness"],
+    )
+    def test_malformed_energy_spec_exit_code(self, tmp_path, capsys, text, message):
+        pts_csv = tmp_path / "pts.csv"
+        pts_csv.write_text("x,y\n0.5,0.5\n")
+        espec = tmp_path / "energy.yaml"
+        espec.write_text(text)
+        assert cli.main(["energy", "eval", "--spec", str(espec), "--points", str(pts_csv),
+                         "--out", str(tmp_path / "scored.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "scored.csv").exists()
 
     def test_missing_dependency_exit_code(self, tmp_path):
         cfg = tmp_path / "exp.yaml"
