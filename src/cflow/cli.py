@@ -22,7 +22,6 @@ dependencies, 4 for runtime failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -72,11 +71,7 @@ def _run_pipeline(args, pipeline: str) -> int:
 def _cmd_sample(args) -> int:
     model = flow.load_model(args.ckpt)
     pts = model.sample(args.n, n_steps=args.steps, seed=args.seed if args.seed is not None else 0)
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in pts:
-            writer.writerow([repr(float(x)), repr(float(y))])
+    ds.write_csv(args.out, ["x", "y"], pts)
     print(f"wrote {len(pts)} samples to {args.out}")
     return 0
 
@@ -86,12 +81,7 @@ def _cmd_traj(args) -> int:
     seed = args.seed if args.seed is not None else 0
     x0 = model.base_states(args.n, seed=seed, n_steps=args.steps)
     snaps = flow.trajectory(model, x0, args.steps, args.snapshots)
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snapshot_index", "t", "x", "y"])
-        for idx, (t, batch) in enumerate(snaps):
-            for x, y in batch:
-                writer.writerow([idx, repr(float(t)), repr(float(x)), repr(float(y))])
+    harness.write_traj_csv(args.out, snaps)
     print(f"wrote {len(snaps)} snapshots to {args.out}")
     return 0
 
@@ -124,13 +114,8 @@ def _energy_from_spec(path: str) -> en.EnergySpec:
 def _cmd_energy_eval(args) -> int:
     spec = _energy_from_spec(args.spec)
     points, _ = ds.load_csv(args.points)
-    values = spec.evaluate(points)
-    weights = spec.weight(points)
-    with Path(args.out).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "F", "weight"])
-        for (x, y), f, w in zip(points, values, weights):
-            writer.writerow([repr(float(x)), repr(float(y)), repr(float(f)), repr(float(w))])
+    rows = np.column_stack([points, spec.evaluate(points), spec.weight(points)])
+    ds.write_csv(args.out, ["x", "y", "F", "weight"], rows)
     print(f"scored {len(points)} points into {args.out}")
     return 0
 

@@ -41,6 +41,7 @@ __all__ = [
     "EmpiricalSampler",
     "export_csv",
     "load_csv",
+    "write_csv",
 ]
 
 RETAIN = 0
@@ -270,13 +271,27 @@ class EmpiricalSampler:
 # -- CSV interchange -------------------------------------------------------
 
 
-def export_csv(data: LabeledDataset, path: str | Path) -> None:
-    """Write ``x,y,label`` rows with full float64 precision."""
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return value
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write a header row, then ``rows``; floats (numpy's too) keep full
+    float64 precision and None is written as an empty cell."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "y", "label"])
-        for (x, y), lbl in zip(data.points, data.labels):
-            writer.writerow([repr(float(x)), repr(float(y)), LABEL_NAMES[int(lbl)]])
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
+def export_csv(data: LabeledDataset, path: str | Path) -> None:
+    """Write ``x,y,label`` rows with full float64 precision."""
+    rows = ((x, y, LABEL_NAMES[int(lbl)]) for (x, y), lbl in zip(data.points, data.labels))
+    write_csv(path, ["x", "y", "label"], rows)
 
 
 def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:

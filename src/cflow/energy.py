@@ -12,7 +12,7 @@ so w is near 1 on low-energy (retain) regions and near 0 on high-energy
 Variants: smooth analytic region energies for the 2D benchmarks (a scaled
 tanh of the geometric margin, bounded so extreme lam values stay
 well-conditioned), classifier-derived energies (the logit score of a
-trained retain/forget classifier), pointwise negation (``invert``), sums,
+trained retain/forget classifier), pointwise negation (``invert``),
 constants, and arbitrary callables for composition and testing.
 
 Sign note: the weight uses the convention that F is HIGH on forget
@@ -36,7 +36,6 @@ __all__ = [
     "RegionEnergy",
     "ClassifierEnergy",
     "InvertedEnergy",
-    "SumEnergy",
     "ConstantEnergy",
     "CallableEnergy",
     "BinaryClassifier",
@@ -45,7 +44,6 @@ __all__ = [
     "invert",
     "from_classifier",
     "train_classifier",
-    "region_energy",
 ]
 
 ENERGY_SATURATION = 5.0  # |F| cap for analytic region energies
@@ -142,22 +140,6 @@ class InvertedEnergy(EnergySpec):
         return -self.inner.evaluate(x)
 
 
-class SumEnergy(EnergySpec):
-    """Additive composition of energies; lam defaults to the first part's."""
-
-    def __init__(self, parts: list[EnergySpec], lam: float | None = None):
-        if not parts:
-            raise ValueError("SumEnergy needs at least one part")
-        super().__init__(parts[0].lam if lam is None else lam)
-        self.parts = list(parts)
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        total = self.parts[0].evaluate(x)
-        for part in self.parts[1:]:
-            total = total + part.evaluate(x)
-        return total
-
-
 class ConstantEnergy(EnergySpec):
     """F(x) == value everywhere; makes ERFM degenerate to plain CFM."""
 
@@ -183,10 +165,6 @@ class CallableEnergy(EnergySpec):
 def invert(spec: EnergySpec) -> InvertedEnergy:
     """Negate the field; weights flip to 1 - w at shared lam."""
     return InvertedEnergy(spec)
-
-
-def region_energy(benchmark: str, lam: float, **kwargs) -> RegionEnergy:
-    return RegionEnergy(benchmark, lam, **kwargs)
 
 
 def from_classifier(classifier: "BinaryClassifier", lam: float) -> ClassifierEnergy:

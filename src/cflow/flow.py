@@ -9,9 +9,10 @@ Two objectives are provided:
 
 * ``cfm_loss``   mean squared regression error over the batch.
 * ``erfm_loss``  the energy-reweighted form: each pair is weighted by
-  w = sigmoid(-lam * F(x1)) and the batch loss is sum(w * err) / sum(w)
-  (the normalized form used by the training loop; ``normalized=False``
-  gives the plain weighted mean used by the gradient-equivalence check).
+  w = sigmoid(-lam * F(x1)), which the caller passes in, and the batch
+  loss is sum(w * err) / sum(w) (the normalized form used by the training
+  loop; ``normalized=False`` gives the plain weighted mean used by the
+  gradient-equivalence check).
 
 Pairs come from a ``Coupling``: either independent draws or an exact
 minibatch optimal-transport assignment minimizing total squared distance.
@@ -42,8 +43,11 @@ both taken from the weights of the accepted batch:
                    carries all the weight.
 
 Sampling integrates the learned ODE with forward Euler over t in [0, 1].
-A model trained on top of another model's outputs keeps that parent in its
-chain, so generation always starts from the standard Gaussian root.
+``integrate`` is the only Euler loop: ``FlowModel.push`` runs it once per
+chain stage, and ``trajectory`` takes its snapshots through the per-step
+``on_step`` callback. A model trained on top of another model's outputs
+keeps that parent in its chain, so generation always starts from the
+standard Gaussian root.
 """
 
 from __future__ import annotations
@@ -85,7 +89,6 @@ __all__ = [
     "ot_coupling",
     "train",
     "integrate",
-    "sample",
     "trajectory",
     "save_model",
     "load_model",
@@ -224,33 +227,23 @@ def erfm_loss(
     model: Mlp,
     coupling: Coupling,
     t: np.ndarray,
-    energy: EnergySpec,
-    sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
-    normalized: bool = True,
-) -> Tensor:
-    """Energy-reweighted flow-matching loss.
-
-    Weights w = sigmoid(-lam * F(x1)) are constants of the batch (no
-    gradient flows through them). The normalized form divides by sum(w);
-    when all weights are equal they cancel exactly, so the computation
-    falls through to the identical computation ``cfm_loss`` runs.
-    """
-    if len(coupling) == 0:
-        raise ValueError("empty batch")
-    return _weighted_loss(model, coupling, t, energy.weight(coupling.x1), sigma, rng, normalized)
-
-
-def _weighted_loss(
-    model: Mlp,
-    coupling: Coupling,
-    t: np.ndarray,
     w: np.ndarray,
     sigma: float = 0.0,
     rng: np.random.Generator | None = None,
     normalized: bool = True,
 ) -> Tensor:
-    """``erfm_loss`` with the pair weights ``w`` already computed."""
+    """Energy-reweighted flow-matching loss with pair weights ``w``.
+
+    ``w`` holds each pair's weight sigmoid(-lam * F(x1)), as
+    ``energy.weight(coupling.x1)`` gives it; the weights are constants of
+    the batch (no gradient flows through them). The normalized form divides
+    by sum(w); when all weights are equal they cancel exactly, so the
+    computation falls through to the identical computation ``cfm_loss`` runs.
+    """
+    if len(coupling) == 0:
+        raise ValueError("empty batch")
+    if np.shape(w) != (len(coupling),):
+        raise ValueError(f"need one weight per pair: shape {np.shape(w)}, {len(coupling)} pairs")
     if w.sum() < SUPPRESSED_WEIGHT_SUM:
         raise FullySuppressedBatchError(
             f"batch weight sum {w.sum():.3e} below {SUPPRESSED_WEIGHT_SUM:.0e}; "
@@ -479,7 +472,7 @@ def train(
                 coupling = independent_coupling(x0, x1)
             try:
                 if unlearn:
-                    loss = _weighted_loss(field, coupling, t, w, sigma=cfg.sigma, rng=rng)
+                    loss = erfm_loss(field, coupling, t, w, sigma=cfg.sigma, rng=rng)
                 else:
                     loss = cfm_loss(field, coupling, t, sigma=cfg.sigma, rng=rng)
                 break
@@ -516,33 +509,23 @@ def train(
 # -- sampling ------------------------------------------------------------------
 
 
-def integrate(field_fn, x0: np.ndarray, n_steps: int, method: str = "euler") -> np.ndarray:
-    """Integrate dx/dt = field_fn(t, x) over t in [0, 1] from x0.
+def integrate(field_fn, x0: np.ndarray, n_steps: int, on_step=None) -> np.ndarray:
+    """Integrate dx/dt = field_fn(t, x) over t in [0, 1] from x0 by forward Euler.
 
-    Forward Euler by default (first-order); ``method="midpoint"`` gives the
-    second-order explicit midpoint variant.
+    Step k (counted from 1) moves the state from t = (k - 1) * dt to
+    t = k * dt with dt = 1 / n_steps. ``on_step(k, x)``, when given, is
+    called after each step with the new state; each step makes a new
+    array, so a callback may keep ``x``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if method not in ("euler", "midpoint"):
-        raise ValueError(f"unknown integration method {method!r}")
     x = np.array(x0, dtype=np.float64, copy=True)
     dt = 1.0 / n_steps
     for k in range(n_steps):
-        t = k * dt
-        if method == "euler":
-            x = x + dt * field_fn(t, x)
-        else:
-            half = x + 0.5 * dt * field_fn(t, x)
-            x = x + dt * field_fn(t + 0.5 * dt, half)
+        x = x + dt * field_fn(k * dt, x)
+        if on_step is not None:
+            on_step(k + 1, x)
     return x
-
-
-def sample(model: FlowModel, n: int, n_steps: int | None = None, seed: int = 0) -> np.ndarray:
-    """Generate n points: Gaussian root integrated through the model chain."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return model.sample(n, n_steps=n_steps, seed=seed)
 
 
 def trajectory(
@@ -558,15 +541,15 @@ def trajectory(
     if k_snapshots > n_steps + 1:
         raise ValueError("k_snapshots must be <= n_steps + 1")
     marks = np.unique(np.round(np.linspace(0, n_steps, k_snapshots)).astype(int))
-    x = np.array(x0, dtype=np.float64, copy=True)
     dt = 1.0 / n_steps
-    snaps = []
-    if 0 in marks:
-        snaps.append((0.0, x.copy()))
-    for k in range(n_steps):
-        x = x + dt * model.velocity(k * dt, x)
-        if (k + 1) in marks:
-            snaps.append(((k + 1) * dt, x.copy()))
+    snaps = [(0.0, np.array(x0, dtype=np.float64, copy=True))]
+
+    def snapshot(k, x):
+        if k in marks:
+            # k * dt, not k / n_steps: the two differ in the last bit
+            snaps.append((k * dt, x))
+
+    integrate(model.velocity, x0, n_steps, on_step=snapshot)
     return snaps
 
 

@@ -10,19 +10,25 @@ are rejected) and produces artifacts under ``<out>/<stage>/``:
     traj.csv      integration snapshots of the trained stage
     report.csv    one metrics row per evaluation seed
 
-Stages form a dependency chain: unlearning, refitting and fine-tuning
-need the pretrained model from the ``learn`` stage; energy inversion
-needs the unlearned model. Missing dependencies are reported by naming
-the stage that must run first. All randomness derives from the spec seed,
-so re-running a config reproduces its checkpoints bit-exactly.
+Each pipeline but the lambda sweep is one row of ``STAGES`` (its directory,
+training mode, prior stage, source and target) and ``run_stage`` runs any
+row; the sweep runs the unlearn row once per lambda. Stages form a
+dependency chain: unlearning, refitting and fine-tuning need the pretrained
+model from the ``learn`` stage; energy inversion needs the unlearned model.
+Missing dependencies are reported by naming the stage that must run first;
+``ckpt.bin`` is written last, so its presence means the stage finished.
+All randomness derives from the spec seed, so re-running a config
+reproduces its checkpoints bit-exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +47,13 @@ __all__ = [
     "HarnessError",
     "ConfigError",
     "DependencyError",
+    "STAGES",
     "load_spec",
     "run",
-    "invert_experiment",
+    "run_stage",
     "report",
     "write_report_csv",
+    "write_traj_csv",
 ]
 
 PIPELINES = (
@@ -57,15 +65,6 @@ PIPELINES = (
     "sweep-lambda",
     "invert",
 )
-
-STAGE_DIRS = {
-    "learn": "learn",
-    "unlearn-erfm": "unlearn",
-    "refit-ot": "refit",
-    "finetune": "finetune",
-    "retrain": "retrain",
-    "invert": "invert",
-}
 
 # training plans that reproduce the benchmark numbers at desk scale.
 # circles/moons/checkerboard unlearn from the D_full empirical source with
@@ -343,12 +342,13 @@ def ensure_classifier(spec: ExperimentSpec) -> en.BinaryClassifier:
     return clf
 
 
-def _require_ckpt(spec: ExperimentSpec, stage: str) -> Path:
-    path = Path(spec.out) / STAGE_DIRS[stage] / "ckpt.bin"
+def _require_ckpt(spec: ExperimentSpec, pipeline: str) -> Path:
+    stage_dir = STAGES[pipeline].dir
+    path = Path(spec.out) / stage_dir / "ckpt.bin"
     if not path.exists():
         raise DependencyError(
             f"pipeline {spec.pipeline!r} needs the checkpoint of prior stage "
-            f"{STAGE_DIRS[stage]!r}; run pipeline {stage!r} first (expected {path})"
+            f"{stage_dir!r}; run pipeline {pipeline!r} first (expected {path})"
         )
     return path
 
@@ -359,115 +359,36 @@ def _write_yaml(path: Path, data: dict) -> None:
         yaml.safe_dump(_plain(data), fh, sort_keys=False)
 
 
-def _write_loss_csv(path: Path, trace: dict[str, list[float]]) -> None:
-    keys = list(trace)
-    n = len(trace["loss"])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", *keys])
-        for i in range(n):
-            writer.writerow([i, *[repr(trace[k][i]) if i < len(trace[k]) else "" for k in keys]])
-
-
-def _write_traj_csv(path: Path, model: flow.FlowModel, spec: ExperimentSpec, n_plot: int = 512) -> None:
-    x0 = model.base_states(n_plot, seed=[spec.seed, _TAG_TRAJ])
-    k = min(5, model.n_steps + 1)
-    snaps = flow.trajectory(model, x0, model.n_steps, k)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snapshot_index", "t", "x", "y"])
-        for idx, (t, batch) in enumerate(snaps):
-            for x, y in batch:
-                writer.writerow([idx, repr(float(t)), repr(float(x)), repr(float(y))])
+def write_traj_csv(path: str | Path, snaps: list[tuple[float, np.ndarray]]) -> None:
+    """One ``snapshot_index,t,x,y`` row per point of each ``flow.trajectory`` snapshot."""
+    rows = ((idx, t, x, y) for idx, (t, batch) in enumerate(snaps) for x, y in batch)
+    ds.write_csv(path, ["snapshot_index", "t", "x", "y"], rows)
 
 
 def write_report_csv(path: Path, rows: list[me.MetricsReport]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(me.MetricsReport.header())
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row.to_row()])
+    ds.write_csv(path, me.MetricsReport.header(), (row.to_row() for row in rows))
+
+
+def _report_value(kind: str, text: str):
+    """Parse one report cell by its ``MetricsReport`` field annotation."""
+    if kind == "int":
+        return int(text)
+    if text == "":
+        return None
+    return text if kind == "str" else float(text)
 
 
 def read_report_csv(path: str | Path) -> list[me.MetricsReport]:
-    rows = []
+    columns = fields(me.MetricsReport)
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != me.MetricsReport.header():
             raise HarnessError(f"incompatible report schema in {path}: {header}")
-        for raw in reader:
-            vals = [None if v == "" else v for v in raw]
-            rows.append(me.MetricsReport(
-                dataset=vals[0],
-                method=vals[1],
-                seed=int(vals[2]),
-                lam=None if vals[3] is None else float(vals[3]),
-                mmd_retain=None if vals[4] is None else float(vals[4]),
-                retention_accuracy=None if vals[5] is None else float(vals[5]),
-                forget_rate=None if vals[6] is None else float(vals[6]),
-                leakage=None if vals[7] is None else float(vals[7]),
-                train_time_s=None if vals[8] is None else float(vals[8]),
-                inference_ms_per_sample=None if vals[9] is None else float(vals[9]),
-            ))
-    return rows
-
-
-def _evaluate_stage(
-    spec: ExperimentSpec,
-    model: flow.FlowModel,
-    method: str,
-    lam: float | None,
-    train_time_s: float,
-) -> list[me.MetricsReport]:
-    clf = ensure_classifier(spec)
-    inference_ms, _ = me.measure_inference_ms(model, seed=spec.seed, repeats=2)
-    return [
-        me.evaluate_model(
-            model,
-            spec.benchmark,
-            clf,
-            n_eval=spec.eval_n,
-            eval_seed=es,
-            method=method,
-            lam=lam,
-            train_time_s=train_time_s,
-            inference_ms=inference_ms,
-        )
-        for es in spec.eval_seeds
-    ]
-
-
-def _finalize_stage(
-    spec: ExperimentSpec,
-    stage: str,
-    model: flow.FlowModel,
-    train_time_s: float,
-    lam: float | None,
-    stage_dir: Path | None = None,
-) -> RunArtifact:
-    stage_dir = stage_dir or Path(spec.out) / STAGE_DIRS[stage]
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = stage_dir / "ckpt.bin"
-    flow.save_model(model, ckpt)
-    _write_yaml(stage_dir / "config.yaml", spec.to_dict())
-    _write_yaml(stage_dir / "meta.yaml", {
-        "stage": stage,
-        "seed": spec.seed,
-        "config_sha256": spec.config_hash(),
-    })
-    _write_loss_csv(stage_dir / "loss.csv", model.loss_trace)
-    _write_traj_csv(stage_dir / "traj.csv", model, spec)
-    rows = _evaluate_stage(spec, model, STAGE_DIRS[stage], lam, train_time_s)
-    write_report_csv(stage_dir / "report.csv", rows)
-    return RunArtifact(
-        spec=spec,
-        stage=STAGE_DIRS[stage],
-        stage_dir=stage_dir,
-        ckpt_path=ckpt,
-        rows=rows,
-        config_hash=spec.config_hash(),
-    )
+        return [
+            me.MetricsReport(**{f.name: _report_value(f.type, v) for f, v in zip(columns, raw)})
+            for raw in reader
+        ]
 
 
 def _model_source(spec: ExperimentSpec, model: flow.FlowModel):
@@ -479,8 +400,7 @@ def _model_source(spec: ExperimentSpec, model: flow.FlowModel):
     return flow.ModelSampler(model, seed=[spec.seed, _TAG_Q0], n_steps=steps)
 
 
-def _build_energy(spec: ExperimentSpec, lam: float | None = None) -> en.EnergySpec:
-    lam = spec.energy.lam if lam is None else lam
+def _build_energy(spec: ExperimentSpec, lam: float) -> en.EnergySpec:
     if spec.energy.kind == "analytic":
         return en.RegionEnergy(spec.benchmark, lam, sharpness=spec.energy.sharpness)
     clf = ensure_classifier(spec)
@@ -490,119 +410,147 @@ def _build_energy(spec: ExperimentSpec, lam: float | None = None) -> en.EnergySp
 # -- pipelines ----------------------------------------------------------------
 
 
-def _run_learn(spec: ExperimentSpec, stage: str = "learn", retain_only: bool = False) -> RunArtifact:
-    data = _train_dataset(spec)
-    target = data.subset(ds.RETAIN) if retain_only else data
-    cfg = _train_config(spec, "learn")
-    q0 = ds.GaussianSampler(seed=[spec.seed, _TAG_Q0])
-    start = time.perf_counter()
-    model = flow.train(cfg, q0, target)
-    return _finalize_stage(spec, stage, model, time.perf_counter() - start, lam=None)
+@dataclass(frozen=True)
+class Stage:
+    """What one pipeline trains: its data, not its code.
+
+    ``prior`` names the pipeline whose checkpoint the stage needs. ``source``
+    gives the x0 sampler: ``gaussian`` draws, the prior ``model``'s outputs,
+    or ``unlearn_source`` (the spec's choice of model outputs or training
+    data). ``target`` is the training ``data``, its ``retain`` subset, the
+    spec's ``energy`` or that energy ``inverted``.
+    """
+
+    dir: str
+    mode: str
+    prior: str | None
+    source: str
+    target: str
 
 
-def _run_retrain(spec: ExperimentSpec) -> RunArtifact:
-    return _run_learn(spec, stage="retrain", retain_only=True)
+STAGES = {
+    "learn": Stage("learn", "learn", None, "gaussian", "data"),
+    "retrain": Stage("retrain", "learn", None, "gaussian", "retain"),
+    "finetune": Stage("finetune", "finetune", "learn", "gaussian", "retain"),
+    "refit-ot": Stage("refit", "refit-ot", "learn", "model", "retain"),
+    "unlearn-erfm": Stage("unlearn", "unlearn-erfm", "learn", "unlearn_source", "energy"),
+    "invert": Stage("invert", "unlearn-erfm", "unlearn-erfm", "model", "inverted"),
+}
 
 
-def _run_finetune(spec: ExperimentSpec) -> RunArtifact:
-    pretrained = flow.load_model(_require_ckpt(spec, "learn"))
-    data = _train_dataset(spec).subset(ds.RETAIN)
-    steps = max(1, int(round(spec.train.steps * spec.finetune_fraction)))
-    cfg = _train_config(spec, "finetune", steps=steps)
-    q0 = ds.GaussianSampler(seed=[spec.seed, _TAG_Q0])
-    start = time.perf_counter()
-    model = flow.train(cfg, q0, data, init=pretrained)
-    return _finalize_stage(spec, "finetune", model, time.perf_counter() - start, lam=None)
-
-
-def _run_refit(spec: ExperimentSpec) -> RunArtifact:
-    pretrained = flow.load_model(_require_ckpt(spec, "learn"))
-    data = _train_dataset(spec).subset(ds.RETAIN)
-    cfg = _train_config(spec, "refit-ot", n_steps=spec.train.transport_integration_steps)
-    q0 = _model_source(spec, pretrained)
-    start = time.perf_counter()
-    model = flow.train(cfg, q0, data, parent=pretrained)
-    return _finalize_stage(spec, "refit-ot", model, time.perf_counter() - start, lam=None)
-
-
-def _run_unlearn(
-    spec: ExperimentSpec, lam: float | None = None, stage_dir: Path | None = None
+def run_stage(
+    spec: ExperimentSpec, pipeline: str, lam: float | None = None, stage_dir: Path | None = None
 ) -> RunArtifact:
-    pretrained = flow.load_model(_require_ckpt(spec, "learn"))
-    lam = spec.energy.lam if lam is None else lam
-    energy = _build_energy(spec, lam)
-    cfg = _train_config(
-        spec,
-        "unlearn-erfm",
-        lam=lam,
-        n_steps=spec.train.transport_integration_steps,
-        steps=spec.unlearn_steps or spec.train.steps,
-    )
-    if spec.unlearn_source == "model":
-        q0 = _model_source(spec, pretrained)
+    """Train, evaluate and write one stage of ``STAGES``.
+
+    A stage with a prior chains onto it (finetune only starts from its
+    weights) and integrates with ``transport_integration_steps``. Refit, and
+    unlearn under ``unlearn_init: fresh``, start from fresh weights; every
+    other stage with a prior starts from it. ``lam`` overrides the energy
+    scale (the sweep's grid); invert uses ``invert_lam`` when it is set.
+
+    ``ckpt.bin`` marks a finished stage, so a stale one is removed first and
+    the new one is written last, atomically.
+    """
+    stage = STAGES[pipeline]
+    prior = flow.load_model(_require_ckpt(spec, stage.prior)) if stage.prior else None
+    stage_dir = stage_dir or Path(spec.out) / stage.dir
+    ckpt = stage_dir / "ckpt.bin"
+    ckpt.unlink(missing_ok=True)
+
+    overrides = {}
+    if stage.mode == "finetune":
+        overrides["steps"] = max(1, int(round(spec.train.steps * spec.finetune_fraction)))
+    elif prior is not None:
+        overrides["n_steps"] = spec.train.transport_integration_steps
+    if stage.mode == "unlearn-erfm":
+        if stage.target == "inverted" and spec.invert_lam is not None:
+            lam = spec.invert_lam
+        lam = overrides["lam"] = spec.energy.lam if lam is None else lam
+        overrides["steps"] = spec.unlearn_steps or spec.train.steps
+    else:
+        lam = None
+    cfg = _train_config(spec, stage.mode, **overrides)
+
+    if stage.target in ("data", "retain"):
+        target = _train_dataset(spec)
+        target = target.subset(ds.RETAIN) if stage.target == "retain" else target
+    else:
+        target = _build_energy(spec, lam)
+        target = en.invert(target) if stage.target == "inverted" else target
+    source = spec.unlearn_source if stage.source == "unlearn_source" else stage.source
+    if source == "gaussian":
+        q0 = ds.GaussianSampler(seed=[spec.seed, _TAG_Q0])
+    elif source == "model":
+        q0 = _model_source(spec, prior)
     else:
         q0 = ds.EmpiricalSampler(_train_dataset(spec).points, seed=[spec.seed, _TAG_Q0])
-    init = pretrained if spec.unlearn_init == "pretrained" else None
+    fresh = stage.mode == "refit-ot" or (pipeline == "unlearn-erfm" and spec.unlearn_init == "fresh")
+    init = None if fresh else prior
+    parent = None if stage.mode == "finetune" else prior
+
     start = time.perf_counter()
-    model = flow.train(cfg, q0, energy, parent=pretrained, init=init)
-    return _finalize_stage(
-        spec, "unlearn-erfm", model, time.perf_counter() - start, lam=lam, stage_dir=stage_dir
-    )
+    model = flow.train(cfg, q0, target, parent=parent, init=init)
+    train_time_s = time.perf_counter() - start
 
-
-def _run_sweep(spec: ExperimentSpec) -> list[RunArtifact]:
-    artifacts = []
-    for lam in spec.lambda_grid:
-        stage_dir = Path(spec.out) / "sweep" / f"lam_{lam:g}"
-        artifacts.append(_run_unlearn(spec, lam=lam, stage_dir=stage_dir))
-    rows = [row for art in artifacts for row in art.rows]
-    write_report_csv(Path(spec.out) / "sweep" / "report.csv", rows)
-    return artifacts
-
-
-def invert_experiment(spec: ExperimentSpec) -> RunArtifact:
-    """Invert the unlearn stage's energy and retrain from its own samples."""
-    unlearn_ckpt = Path(spec.out) / STAGE_DIRS["unlearn-erfm"] / "ckpt.bin"
-    if not unlearn_ckpt.exists():
-        raise DependencyError(
-            "invert needs the checkpoint of prior stage 'unlearn'; "
-            f"run pipeline 'unlearn-erfm' first (expected {unlearn_ckpt})"
+    _write_yaml(stage_dir / "config.yaml", spec.to_dict())
+    _write_yaml(stage_dir / "meta.yaml", {
+        "stage": pipeline,
+        "seed": spec.seed,
+        "config_sha256": spec.config_hash(),
+    })
+    trace = model.loss_trace
+    loss_rows = ((i, *row) for i, row in enumerate(zip_longest(*trace.values())))
+    ds.write_csv(stage_dir / "loss.csv", ["step", *trace], loss_rows)
+    x0 = model.base_states(512, seed=[spec.seed, _TAG_TRAJ])
+    snaps = flow.trajectory(model, x0, model.n_steps, min(5, model.n_steps + 1))
+    write_traj_csv(stage_dir / "traj.csv", snaps)
+    clf = ensure_classifier(spec)
+    inference_ms, _ = me.measure_inference_ms(model, seed=spec.seed, repeats=2)
+    rows = [
+        me.evaluate_model(
+            model,
+            spec.benchmark,
+            clf,
+            n_eval=spec.eval_n,
+            eval_seed=es,
+            method=stage.dir,
+            lam=lam,
+            train_time_s=train_time_s,
+            inference_ms=inference_ms,
         )
-    unlearned = flow.load_model(unlearn_ckpt)
-    lam = spec.invert_lam if spec.invert_lam is not None else spec.energy.lam
-    energy = en.invert(_build_energy(spec, lam))
-    cfg = _train_config(
-        spec,
-        "unlearn-erfm",
-        lam=lam,
-        n_steps=spec.train.transport_integration_steps,
-        steps=spec.unlearn_steps or spec.train.steps,
+        for es in spec.eval_seeds
+    ]
+    write_report_csv(stage_dir / "report.csv", rows)
+    partial = stage_dir / "ckpt.bin.partial"
+    flow.save_model(model, partial)
+    os.replace(partial, ckpt)
+    return RunArtifact(
+        spec=spec,
+        stage=stage.dir,
+        stage_dir=stage_dir,
+        ckpt_path=ckpt,
+        rows=rows,
+        config_hash=spec.config_hash(),
     )
-    q0 = _model_source(spec, unlearned)
-    start = time.perf_counter()
-    model = flow.train(cfg, q0, energy, parent=unlearned, init=unlearned)
-    artifact = _finalize_stage(spec, "invert", model, time.perf_counter() - start, lam=lam)
-    return artifact
 
 
 def run(spec: ExperimentSpec) -> RunArtifact | list[RunArtifact]:
-    """Execute the spec's pipeline; returns its artifact(s)."""
+    """Execute the spec's pipeline; returns its artifact(s).
+
+    ``sweep-lambda`` runs the unlearn stage once per ``lambda_grid`` value
+    into ``sweep/lam_<lam>`` and writes all their rows to ``sweep/report.csv``.
+    """
     Path(spec.out).mkdir(parents=True, exist_ok=True)
-    if spec.pipeline == "learn":
-        return _run_learn(spec)
-    if spec.pipeline == "retrain":
-        return _run_retrain(spec)
-    if spec.pipeline == "finetune":
-        return _run_finetune(spec)
-    if spec.pipeline == "refit-ot":
-        return _run_refit(spec)
-    if spec.pipeline == "unlearn-erfm":
-        return _run_unlearn(spec)
-    if spec.pipeline == "sweep-lambda":
-        return _run_sweep(spec)
-    if spec.pipeline == "invert":
-        return invert_experiment(spec)
-    raise ConfigError(f"unhandled pipeline {spec.pipeline!r}")
+    if spec.pipeline != "sweep-lambda":
+        return run_stage(spec, spec.pipeline)
+    sweep = Path(spec.out) / "sweep"
+    artifacts = [
+        run_stage(spec, "unlearn-erfm", lam=lam, stage_dir=sweep / f"lam_{lam:g}")
+        for lam in spec.lambda_grid
+    ]
+    write_report_csv(sweep / "report.csv", [row for art in artifacts for row in art.rows])
+    return artifacts
 
 
 # -- consolidated reporting ----------------------------------------------------
@@ -639,12 +587,8 @@ def report(rows: list[me.MetricsReport]) -> list[dict]:
 def write_consolidated(path: Path, aggregated: list[dict]) -> None:
     if not aggregated:
         raise HarnessError("nothing to report")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(aggregated[0])
-        writer.writerow(header)
-        for entry in aggregated:
-            writer.writerow(["" if entry[k] is None else entry[k] for k in header])
+    header = list(aggregated[0])
+    ds.write_csv(path, header, ([entry[k] for k in header] for entry in aggregated))
 
 
 def format_markdown(aggregated: list[dict]) -> str:

@@ -25,7 +25,6 @@ __all__ = [
     "KernelConfig",
     "MetricsReport",
     "mmd2",
-    "mmd2_reference",
     "retention_accuracy",
     "forget_rate",
     "leakage",
@@ -85,21 +84,6 @@ def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelConfig = KernelConfig()) ->
     return max(value, 0.0)
 
 
-def mmd2_reference(X: np.ndarray, Y: np.ndarray, kernel: KernelConfig = KernelConfig()) -> float:
-    """Naive double-loop evaluation of the same estimator (test oracle)."""
-    a = _as_batch(X, "X")
-    b = _as_batch(Y, "Y")
-
-    def k(u, v):
-        d = u - v
-        return np.exp(-(d @ d) / (2.0 * kernel.bandwidth**2))
-
-    term_xx = sum(k(u, v) for u in a for v in a) / (len(a) * len(a))
-    term_yy = sum(k(u, v) for u in b for v in b) / (len(b) * len(b))
-    term_xy = sum(k(u, v) for u in a for v in b) / (len(a) * len(b))
-    return term_xx + term_yy - 2.0 * term_xy
-
-
 def retention_accuracy(
     classifier: BinaryClassifier, points: np.ndarray, labels: np.ndarray
 ) -> float:
@@ -139,20 +123,6 @@ def measure_inference_ms(
     return float(np.mean(times)), float(np.std(times))
 
 
-REPORT_COLUMNS = [
-    "dataset",
-    "method",
-    "seed",
-    "lam",
-    "mmd_retain",
-    "retention_accuracy",
-    "forget_rate",
-    "leakage",
-    "train_time_s",
-    "inference_ms_per_sample",
-]
-
-
 @dataclass
 class MetricsReport:
     """One experiment run's metric row; None marks an explicitly absent value."""
@@ -183,7 +153,10 @@ class MetricsReport:
 
     @staticmethod
     def header() -> list[str]:
-        return list(REPORT_COLUMNS)
+        return [f.name for f in fields(MetricsReport)]
+
+
+REPORT_COLUMNS = MetricsReport.header()
 
 
 def evaluate_model(

@@ -1,4 +1,4 @@
-"""Shared test helpers: finite-difference oracle and gradient flattening.
+"""Shared test helpers: finite-difference and MMD oracles, gradient flattening.
 
 The suite runs numpy's BLAS on one thread. Results are bit-identical at any
 thread count, but two test processes on a small machine each spinning up a
@@ -18,6 +18,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
 import numpy as np  # noqa: E402
+
+from cflow.metrics import KernelConfig  # noqa: E402
 
 
 def _openblas_fn(*names):
@@ -61,6 +63,21 @@ def finite_difference_grads(loss_fn, theta, h=1e-5):
         theta[i] = orig
         g[i] = (up - down) / (2 * h)
     return g
+
+
+def mmd2_reference(X, Y, kernel: KernelConfig = KernelConfig()) -> float:
+    """Naive double-loop evaluation of the ``metrics.mmd2`` estimator (test oracle)."""
+    a = np.asarray(X, dtype=np.float64)
+    b = np.asarray(Y, dtype=np.float64)
+
+    def k(u, v):
+        d = u - v
+        return np.exp(-(d @ d) / (2.0 * kernel.bandwidth**2))
+
+    term_xx = sum(k(u, v) for u in a for v in a) / (len(a) * len(a))
+    term_yy = sum(k(u, v) for u in b for v in b) / (len(b) * len(b))
+    term_xy = sum(k(u, v) for u in a for v in b) / (len(a) * len(b))
+    return term_xx + term_yy - 2.0 * term_xy
 
 
 def flatten_grads(model) -> np.ndarray:

@@ -120,11 +120,6 @@ class TestInversion:
         w = G.weight(circles_data.retain_points)
         assert np.all(w < 0.5)
 
-    def test_sum_with_inverse_cancels(self, circles_data):
-        F = en.RegionEnergy("circles", 5.0)
-        total = en.SumEnergy([F, en.invert(F)])
-        np.testing.assert_array_equal(total.evaluate(circles_data.points[:50]), 0.0)
-
 
 class TestClassifierEnergy:
     def test_symmetric_probability_gives_half_weight(self):

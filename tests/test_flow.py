@@ -121,7 +121,7 @@ class TestLosses:
         model = constant_field_model([0.0, 0.0]).field
         coup = flow.independent_coupling(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
         F = en.ConstantEnergy(0.0, lam=3.0)
-        loss = flow.erfm_loss(model, coup, np.array([0.4]), F)
+        loss = flow.erfm_loss(model, coup, np.array([0.4]), F.weight(coup.x1))
         assert loss.item() == pytest.approx(1.0)
 
     def test_erfm_two_pair_weighted_arithmetic(self):
@@ -132,7 +132,7 @@ class TestLosses:
         coup = flow.independent_coupling(x0, x1)
         F = en.CallableEnergy(lambda p: np.where(p[:, 0] > 1.5, np.log(3.0), 0.0), lam=1.0)
         np.testing.assert_allclose(F.weight(x1), [0.5, 0.25], rtol=1e-14)
-        loss = flow.erfm_loss(model, coup, np.array([0.0, 0.0]), F)
+        loss = flow.erfm_loss(model, coup, np.array([0.0, 0.0]), F.weight(coup.x1))
         assert loss.item() == pytest.approx(2.0, rel=1e-12)
 
     def test_erfm_constant_energy_equals_cfm_bitwise(self):
@@ -141,14 +141,22 @@ class TestLosses:
         coup = flow.independent_coupling(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
         t = rng.uniform(size=32)
         F = en.ConstantEnergy(1.234, lam=2.0)
-        assert flow.erfm_loss(model, coup, t, F).item() == flow.cfm_loss(model, coup, t).item()
+        loss = flow.erfm_loss(model, coup, t, F.weight(coup.x1))
+        assert loss.item() == flow.cfm_loss(model, coup, t).item()
 
     def test_erfm_fully_suppressed_batch_rejected(self):
         model = velocity_mlp(seed=0)
         coup = flow.independent_coupling(np.zeros((4, 2)), np.zeros((4, 2)))
         F = en.ConstantEnergy(4.9, lam=1000.0)  # weights ~ sigma(-4900) = 0
         with pytest.raises(flow.FullySuppressedBatchError):
-            flow.erfm_loss(model, coup, np.full(4, 0.5), F)
+            flow.erfm_loss(model, coup, np.full(4, 0.5), F.weight(coup.x1))
+
+    def test_erfm_needs_one_weight_per_pair(self):
+        model = velocity_mlp(seed=0)
+        coup = flow.independent_coupling(np.zeros((4, 2)), np.ones((4, 2)))
+        for w in (np.ones(3), np.ones((4, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="one weight per pair"):
+                flow.erfm_loss(model, coup, np.full(4, 0.5), w)
 
     def test_erfm_unnormalized_form(self):
         model = constant_field_model([0.0, 0.0]).field
@@ -156,7 +164,8 @@ class TestLosses:
         x1 = np.array([[1.0, 0.0], [2.0, 0.0]])
         coup = flow.independent_coupling(x0, x1)
         F = en.CallableEnergy(lambda p: np.where(p[:, 0] > 1.5, np.log(3.0), 0.0), lam=1.0)
-        loss = flow.erfm_loss(model, coup, np.zeros(2), F, normalized=False)
+        w = F.weight(coup.x1)
+        loss = flow.erfm_loss(model, coup, np.zeros(2), w, normalized=False)
         # mean(w * e) = (0.5*1 + 0.25*4) / 2
         assert loss.item() == pytest.approx(0.75, rel=1e-12)
 
@@ -244,26 +253,18 @@ class TestIntegrator:
         slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
         assert -1.2 <= slope <= -0.8
 
-    def test_midpoint_variant_is_more_accurate(self):
-        model = linear_field_model()
-        x0 = np.array([[1.0, 0.0]])
-        ref = np.e
-        euler = flow.integrate(lambda t, y: model.velocity(t, y), x0, 20)[0, 0]
-        mid = flow.integrate(lambda t, y: model.velocity(t, y), x0, 20, method="midpoint")[0, 0]
-        assert abs(mid - ref) < abs(euler - ref)
-
 
 class TestSamplingAndTrajectory:
     def test_sample_zero_field_reproduces_base_draw(self):
         model = constant_field_model([0.0, 0.0])
-        out = flow.sample(model, 50, seed=9)
+        out = model.sample(50, seed=9)
         base = ds.GaussianSampler(seed=9).sample(50)
         np.testing.assert_array_equal(out, base)
 
     def test_sample_deterministic(self):
         model = linear_field_model()
-        a = flow.sample(model, 20, seed=3)
-        b = flow.sample(model, 20, seed=3)
+        a = model.sample(20, seed=3)
+        b = model.sample(20, seed=3)
         np.testing.assert_array_equal(a, b)
 
     def test_trajectory_two_snapshots_are_endpoints(self):
@@ -277,8 +278,15 @@ class TestSamplingAndTrajectory:
     def test_trajectory_final_matches_sample(self):
         model = linear_field_model()
         x0 = model.base_states(12, seed=4)
-        snaps = flow.trajectory(model, x0, 10, 5)
-        np.testing.assert_array_equal(snaps[-1][1], flow.sample(model, 12, seed=4))
+        snaps = flow.trajectory(model, x0, 10, 4)
+        np.testing.assert_array_equal(snaps[-1][1], model.sample(12, seed=4))
+        # snapshot times are k * dt, which is not k / n_steps in the last bit
+        assert [t for t, _ in snaps] == [0.0, 3 * 0.1, 7 * 0.1, 1.0]
+        seen = []
+        out = flow.integrate(model.velocity, x0, 10, on_step=lambda k, x: seen.append((k, x)))
+        assert [k for k, _ in seen] == list(range(1, 11))
+        np.testing.assert_array_equal(seen[-1][1], out)
+        np.testing.assert_array_equal(out, snaps[-1][1])
 
     def test_trajectory_zero_field_all_identical(self):
         model = constant_field_model([0.0, 0.0])

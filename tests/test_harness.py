@@ -334,6 +334,26 @@ class TestCli:
             yaml.safe_dump(harness._plain(spec.to_dict()), fh)
         assert cli.main(["unlearn", "--config", str(cfg)]) == 3
 
+    def test_failed_stage_leaves_no_checkpoint(self, tmp_path, capsys, monkeypatch):
+        # ckpt.bin marks a finished stage: a rerun that fails after training
+        # must not leave the old checkpoint, or a new one, for invert to take
+        cfg = tmp_path / "exp.yaml"
+        with cfg.open("w") as fh:
+            yaml.safe_dump(harness._plain(tiny_spec(tmp_path).to_dict()), fh)
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        assert cli.main(["unlearn", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "unlearn" / "ckpt.bin"
+        assert ckpt.exists()
+
+        def failing(*args, **kwargs):
+            raise ValueError("evaluation failed")
+
+        monkeypatch.setattr(me, "evaluate_model", failing)
+        assert cli.main(["unlearn", "--config", str(cfg)]) == 4
+        assert not ckpt.exists()
+        assert cli.main(["invert", "--config", str(cfg)]) == 3
+        assert "prior stage 'unlearn'" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("name: x\nbenchmark: circles\npipeline: learn\nout: /tmp/x\nbogus: 1\n")
