@@ -26,30 +26,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import datasets as ds
 from . import energy as en
 from . import flow
 from . import harness
 from . import metrics as me
+from .config import from_mapping, read_yaml
 from .diffcore import AutodiffError, CheckpointError, load_mlp
-
-
-def _load_spec(args, force_pipeline: str | None = None) -> harness.ExperimentSpec:
-    spec = harness.load_spec(args.config)
-    overrides = {}
-    if force_pipeline is not None:
-        overrides["pipeline"] = force_pipeline
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    if overrides:
-        data = spec.to_dict()
-        data.update(overrides)
-        spec = harness.spec_from_dict(data)
-    return spec
 
 
 def _cmd_datasets(args) -> int:
@@ -60,7 +44,8 @@ def _cmd_datasets(args) -> int:
 
 
 def _run_pipeline(args, pipeline: str) -> int:
-    spec = _load_spec(args, force_pipeline=pipeline)
+    overrides = {k: getattr(args, k) for k in ("seed", "out") if getattr(args, k) is not None}
+    spec = harness.load_spec(args.config).with_pipeline(pipeline, **overrides)
     artifact = harness.run(spec)
     artifacts = artifact if isinstance(artifact, list) else [artifact]
     for art in artifacts:
@@ -88,13 +73,12 @@ def _cmd_traj(args) -> int:
 
 def _energy_from_spec(path: str) -> en.EnergySpec:
     """The energy an ``energy eval`` spec file describes; ConfigError if malformed."""
-    with Path(path).open() as fh:
-        raw = yaml.safe_load(fh)
+    raw = read_yaml(path)
     if not isinstance(raw, dict) or not raw:
         raise harness.ConfigError(f"{path}: energy spec must be a non-empty mapping")
     sources = {"analytic": "benchmark", "classifier": "classifier_ckpt"}
     fields = {k: v for k, v in raw.items() if k not in sources.values()}
-    section = harness._build_section(harness.EnergySection, fields, "energy spec")
+    section = from_mapping(harness.EnergySection, fields, "energy spec")
     key = sources[section.kind]
     if key not in raw:
         raise harness.ConfigError(f"{path}: energy kind {section.kind!r} needs a {key!r} key")
@@ -147,9 +131,11 @@ def _cmd_eval_run(args) -> int:
 def _cmd_report(args) -> int:
     rows = []
     for root in args.runs:
-        found = sorted(Path(root).rglob("report.csv"))
+        # a finished stage has its ckpt.bin beside its report.csv; this skips
+        # failed reruns and sweep/report.csv, which repeats its arms' rows
+        found = sorted(p for p in Path(root).rglob("report.csv") if (p.parent / "ckpt.bin").exists())
         if not found:
-            raise harness.HarnessError(f"no report.csv under {root}")
+            raise harness.HarnessError(f"no finished stage's report.csv under {root}")
         for path in found:
             rows.extend(harness.read_report_csv(path))
     aggregated = harness.report(rows)

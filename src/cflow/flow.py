@@ -61,6 +61,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .config import check, knob
 from .datasets import EmpiricalSampler, GaussianSampler, LabeledDataset
 from .diffcore import Adam, Mlp, Sgd, Tensor, velocity_mlp
 from .diffcore.checkpoint import (
@@ -268,44 +269,22 @@ def weight_stats(w: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class TrainConfig:
-    """Knobs of the training loop; defaults match the 2D desk-scale runs."""
+    """Knobs of the training loop: the ``train:`` section of an experiment
+    config. Defaults match the 2D desk-scale runs."""
 
-    mode: str = "learn"
-    steps: int = 5000
-    batch: int = 256
-    lr: float = 1e-3
-    lr_decay: str = "none"  # none | cosine (to 1% of lr over the run)
-    lam: float = 5.0
-    sigma: float = 0.0
-    coupling: str | None = None  # independent | ot; defaults per mode
-    seed: int = 0
-    n_steps: int = 10
-    hidden: tuple[int, ...] = (64, 64, 64)
-    optimizer: str = "adam"
+    steps: int = knob(5000, ge=1)
+    batch: int = knob(256, ge=1)
+    lr: float = knob(1e-3, positive=True)
+    lr_decay: str = knob("none", choices=("none", "cosine"))  # cosine: to 1% of lr over the run
+    sigma: float = knob(0.0, ge=0)
+    coupling: str | None = knob(None, choices=("independent", "ot"))  # None: per mode
+    hidden: tuple[int, ...] = knob((64, 64, 64), ge=1)
+    optimizer: str = knob("adam", choices=("adam", "sgd"))
+    integration_steps: int = knob(10, ge=1)  # stages trained from the gaussian base
+    transport_integration_steps: int = knob(50, ge=1)  # stages stacked on a parent model
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.steps < 1 or self.batch < 1:
-            raise ValueError("steps and batch must be >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.mode == "unlearn-erfm" and not self.lam > 0:
-            raise ValueError("unlearn-erfm requires lam > 0")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.coupling not in (None, "independent", "ot"):
-            raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr_decay not in ("none", "cosine"):
-            raise ValueError(f"unknown lr_decay {self.lr_decay!r}")
-        self.hidden = tuple(int(h) for h in self.hidden)
-
-    def resolved_coupling(self) -> str:
-        if self.coupling is not None:
-            return self.coupling
-        return "ot" if self.mode == "refit-ot" else "independent"
+        check(self, "train")
 
 
 class FlowModel:
@@ -375,10 +354,6 @@ class ModelSampler:
         self.n_steps = n_steps  # None: each stage uses its own default
         self._rng = np.random.default_rng(seed)
 
-    @classmethod
-    def from_checkpoint(cls, path: str | Path, seed=0, n_steps: int | None = None):
-        return cls(load_model(path), seed=seed, n_steps=n_steps)
-
     def sample(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -390,16 +365,21 @@ def train(
     cfg: TrainConfig,
     q0,
     target,
+    *,
+    mode: str = "learn",
+    seed: int = 0,
     parent: FlowModel | None = None,
     init: Mlp | FlowModel | None = None,
 ) -> FlowModel:
-    """Run the training loop and return the fitted model.
+    """Run the training loop of ``mode`` and return the fitted model.
 
     ``q0`` supplies x0 batches (and x1 batches in unlearn mode). ``target``
     is a LabeledDataset for the dataset modes and an EnergySpec for
     unlearn-erfm. ``parent`` is the generative stage whose outputs feed
-    this field at sampling time; ``init`` (a field or model) seeds the
-    weights instead of a fresh Glorot draw.
+    this field at sampling time; the model then integrates with
+    ``cfg.transport_integration_steps``, else ``cfg.integration_steps``.
+    ``init`` (a field or model) seeds the weights instead of a fresh Glorot
+    draw; ``seed`` seeds that draw and the step stream.
 
     An unlearn-erfm stage with an ``EmpiricalSampler`` source scores the
     pool once (see the module docstring). The looked-up weights equal those
@@ -409,35 +389,36 @@ def train(
     rounds the last ``B mod 4`` of B rows its own way, so there the two
     agree when the batch and the pool sizes are multiples of 4.
 
-    Deterministic: identical (cfg, q0 construction, target) reproduce the
-    returned parameters bit-for-bit.
+    Deterministic: identical (cfg, mode, seed, q0 construction, target)
+    reproduce the returned parameters bit-for-bit.
     """
-    dataset_mode = cfg.mode in ("learn", "finetune", "refit-ot")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    coupling = cfg.coupling or ("ot" if mode == "refit-ot" else "independent")
+    dataset_mode = mode in ("learn", "finetune", "refit-ot")
     if dataset_mode and not isinstance(target, LabeledDataset):
-        raise TypeError(f"mode {cfg.mode!r} requires a LabeledDataset target")
-    if cfg.mode == "unlearn-erfm":
+        raise TypeError(f"mode {mode!r} requires a LabeledDataset target")
+    if mode == "unlearn-erfm":
         if not isinstance(target, EnergySpec):
             raise TypeError("mode 'unlearn-erfm' requires an EnergySpec target")
-        if cfg.resolved_coupling() == "ot":
+        if coupling == "ot":
             raise ValueError("unlearn-erfm pairs endpoints independently from q0")
-    if cfg.mode == "refit-ot" and cfg.resolved_coupling() != "ot":
+    if mode == "refit-ot" and coupling != "ot":
         raise ValueError("refit-ot requires the ot coupling")
-    if cfg.mode == "finetune" and init is None:
+    if mode == "finetune" and init is None:
         raise ValueError("finetune requires an initial model")
 
     if init is None:
-        field = velocity_mlp(d=2, hidden=cfg.hidden, seed=cfg.seed)
+        field = velocity_mlp(d=2, hidden=cfg.hidden, seed=seed)
     else:
         field = (init.field if isinstance(init, FlowModel) else init).copy()
 
     opt_cls = Adam if cfg.optimizer == "adam" else Sgd
     opt = opt_cls(field, lr=cfg.lr)
-    rng = np.random.default_rng([cfg.seed, 0x7261696E])  # step stream (t, noise)
-    data_sampler = (
-        EmpiricalSampler(target.points, seed=[cfg.seed, 0x64617461]) if dataset_mode else None
-    )
-    use_ot = cfg.resolved_coupling() == "ot"
-    unlearn = cfg.mode == "unlearn-erfm"
+    rng = np.random.default_rng([seed, 0x7261696E])  # step stream (t, noise)
+    data_sampler = EmpiricalSampler(target.points, seed=[seed, 0x64617461]) if dataset_mode else None
+    use_ot = coupling == "ot"
+    unlearn = mode == "unlearn-erfm"
     # the energy is frozen, so a pool's weights are computed once
     pool_w = target.weight(q0.points) if unlearn and isinstance(q0, EmpiricalSampler) else None
 
@@ -488,14 +469,15 @@ def train(
             ess_fracs.append(ess)
 
     provenance = {
-        "mode": cfg.mode,
-        "seed": cfg.seed,
+        "mode": mode,
+        "seed": seed,
         "steps": cfg.steps,
         "batch": cfg.batch,
-        "lam": cfg.lam if cfg.mode == "unlearn-erfm" else None,
+        "lam": target.lam if unlearn else None,
         "target": getattr(target, "name", type(target).__name__),
     }
-    model = FlowModel(field, parent=parent, n_steps=cfg.n_steps, provenance=provenance)
+    n_steps = cfg.integration_steps if parent is None else cfg.transport_integration_steps
+    model = FlowModel(field, parent=parent, n_steps=n_steps, provenance=provenance)
     model.loss_trace = {"loss": losses}
     if unlearn:
         model.loss_trace["weight_mean"] = weight_means

@@ -1,7 +1,10 @@
 """Experiment orchestration: configs, staged runs, artifacts, reports.
 
-An experiment is described by one YAML file (strict keys: unknown fields
-are rejected) and produces artifacts under ``<out>/<stage>/``:
+An experiment is described by one YAML file: ``ExperimentSpec``, with its
+``train:`` section a ``flow.TrainConfig`` and its ``energy:`` section an
+``EnergySection``. Each checks the type and range of every field when it is
+built (unknown keys are rejected), so a bad config fails before any stage
+touches its directory. A run produces artifacts under ``<out>/<stage>/``:
 
     config.yaml   resolved spec echoed verbatim (re-runnable on its own)
     meta.yaml     seed, stage, config hash
@@ -27,7 +30,7 @@ import csv
 import hashlib
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -38,6 +41,7 @@ from . import datasets as ds
 from . import energy as en
 from . import flow
 from . import metrics as me
+from .config import ConfigError, check, from_mapping, knob, read_yaml
 from .diffcore import load_mlp, save_mlp
 
 __all__ = [
@@ -132,99 +136,52 @@ class HarnessError(Exception):
     """Base error for orchestration failures."""
 
 
-class ConfigError(HarnessError):
-    """Malformed or inconsistent experiment configuration."""
-
-
 class DependencyError(HarnessError):
     """A required prior stage has not produced its checkpoint yet."""
 
 
 @dataclass
-class TrainSection:
-    steps: int = 5000
-    batch: int = 256
-    lr: float = 1e-3
-    lr_decay: str = "none"
-    sigma: float = 0.0
-    coupling: str | None = None
-    hidden: tuple[int, ...] = (64, 64, 64)
-    optimizer: str = "adam"
-    integration_steps: int = 10  # stages trained from the gaussian base
-    transport_integration_steps: int = 50  # stages stacked on a parent model
-
-
-@dataclass
 class EnergySection:
-    kind: str = "analytic"  # analytic | classifier
-    lam: float = 5.0
+    kind: str = knob("analytic", choices=("analytic", "classifier"))
+    lam: float = knob(5.0, positive=True)
     sharpness: float = en.DEFAULT_SHARPNESS
 
     def __post_init__(self):
-        if self.kind not in ("analytic", "classifier"):
-            raise ConfigError(f"energy.kind must be analytic|classifier, got {self.kind!r}")
-        if not self.lam > 0:
-            raise ConfigError("energy.lam must be positive")
-        if not isinstance(self.sharpness, (int, float)) or not np.isfinite(self.sharpness):
-            raise ConfigError(f"energy.sharpness must be a finite number, got {self.sharpness!r}")
+        check(self, "energy")
 
 
 @dataclass
 class ExperimentSpec:
     name: str
-    benchmark: str
-    pipeline: str
+    benchmark: str = knob(choices=ds.BENCHMARKS)
+    pipeline: str = knob(choices=PIPELINES)
     out: str
-    seed: int = 0
-    data_n: int = 4000
-    train: TrainSection = field(default_factory=TrainSection)
+    seed: int = knob(0, ge=0)
+    data_n: int = knob(4000, ge=2)
+    train: flow.TrainConfig = field(default_factory=flow.TrainConfig)
     energy: EnergySection = field(default_factory=EnergySection)
-    unlearn_source: str = "model"  # model | data
-    unlearn_init: str = "pretrained"  # pretrained | fresh
-    unlearn_steps: int | None = None  # override train.steps for unlearn stages
-    invert_lam: float | None = None  # suppression scale for the inversion stage
-    source_pool: int = 65536  # model-sampler draws cached per run; 0 = per-step draws
-    source_steps: int = 25  # integration steps when drawing the source pool
-    finetune_fraction: float = 0.2
-    lambda_grid: tuple[float, ...] = (0.5, 2.0, 5.0, 1000.0)
-    eval_seeds: tuple[int, ...] = (0, 1, 2)
-    eval_n: int = 1000
+    unlearn_source: str = knob("model", choices=("model", "data"))
+    unlearn_init: str = knob("pretrained", choices=("pretrained", "fresh"))
+    unlearn_steps: int | None = knob(None, ge=1)  # override train.steps for unlearn stages
+    invert_lam: float | None = knob(None, positive=True)  # suppression scale for the inversion stage
+    source_pool: int = knob(65536, ge=0)  # model-sampler draws cached per run; 0 = per-step draws
+    source_steps: int = knob(25, ge=0)  # integration steps when drawing the source pool
+    finetune_fraction: float = knob(0.2, positive=True, le=1.0)
+    lambda_grid: tuple[float, ...] = knob((0.5, 2.0, 5.0, 1000.0), positive=True)
+    eval_seeds: tuple[int, ...] = knob((0, 1, 2), ge=0)
+    eval_n: int = knob(1000, ge=1, le=me.MAX_EVAL_N)
 
     def __post_init__(self):
-        if self.pipeline not in PIPELINES:
-            raise ConfigError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
-        if self.benchmark not in ds.BENCHMARKS:
-            raise ConfigError(f"unknown benchmark {self.benchmark!r}")
-        if self.unlearn_source not in ("model", "data"):
-            raise ConfigError("unlearn_source must be 'model' or 'data'")
-        if self.unlearn_init not in ("pretrained", "fresh"):
-            raise ConfigError("unlearn_init must be 'pretrained' or 'fresh'")
-        if self.unlearn_steps is not None and self.unlearn_steps < 1:
-            raise ConfigError("unlearn_steps must be >= 1")
-        if not 0.0 < self.finetune_fraction <= 1.0:
-            raise ConfigError("finetune_fraction must be in (0, 1]")
+        check(self)
         if self.pipeline == "sweep-lambda" and not self.lambda_grid:
             raise ConfigError("sweep-lambda requires a non-empty lambda_grid")
-        if self.data_n < 2 or self.eval_n < 1:
-            raise ConfigError("data_n and eval_n must be positive")
-        if self.source_pool < 0:
-            raise ConfigError("source_pool must be >= 0")
-        self.lambda_grid = tuple(float(v) for v in self.lambda_grid)
-        self.eval_seeds = tuple(int(s) for s in self.eval_seeds)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def with_pipeline(self, pipeline: str, **overrides) -> "ExperimentSpec":
-        data = self.to_dict()
-        data["pipeline"] = pipeline
-        for key, value in overrides.items():
-            keys = key.split(".")
-            node = data
-            for k in keys[:-1]:
-                node = node[k]
-            node[keys[-1]] = value
-        return spec_from_dict(data)
+        """This spec for another pipeline, with top-level fields replaced."""
+        return replace(self, pipeline=pipeline, **overrides)
 
     def config_hash(self) -> str:
         canonical = yaml.safe_dump(_plain(self.to_dict()), sort_keys=True)
@@ -242,40 +199,18 @@ def _plain(value):
     return value
 
 
-def _build_section(cls, data: dict, context: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context} must be a mapping")
-    allowed = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key in ("hidden", "lambda_grid", "eval_seeds"):
-        if key in kwargs and isinstance(kwargs[key], list):
-            kwargs[key] = tuple(kwargs[key])
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {context}: {exc}") from exc
-
-
 def spec_from_dict(data: dict) -> ExperimentSpec:
+    """The checked spec of a config mapping; ConfigError names the first bad field."""
     if not isinstance(data, dict):
         raise ConfigError("experiment config must be a mapping")
     data = dict(data)
-    train = _build_section(TrainSection, data.pop("train", {}), "train")
-    energy = _build_section(EnergySection, data.pop("energy", {}), "energy")
-    spec = _build_section(ExperimentSpec, {**data, "train": train, "energy": energy}, "experiment")
-    return spec
+    train = from_mapping(flow.TrainConfig, data.pop("train", {}), "train")
+    energy = from_mapping(EnergySection, data.pop("energy", {}), "energy")
+    return from_mapping(ExperimentSpec, {**data, "train": train, "energy": energy}, "experiment")
 
 
 def load_spec(path: str | Path) -> ExperimentSpec:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    with path.open() as fh:
-        data = yaml.safe_load(fh)
-    return spec_from_dict(data)
+    return spec_from_dict(read_yaml(path))
 
 
 @dataclass
@@ -293,29 +228,6 @@ class RunArtifact:
 
 def _train_dataset(spec: ExperimentSpec) -> ds.LabeledDataset:
     return ds.generate(spec.benchmark, spec.data_n, seed=[spec.seed, _TAG_DATA])
-
-
-def _train_config(spec: ExperimentSpec, mode: str, **overrides) -> flow.TrainConfig:
-    t = spec.train
-    kwargs = dict(
-        mode=mode,
-        steps=t.steps,
-        batch=t.batch,
-        lr=t.lr,
-        lr_decay=t.lr_decay,
-        lam=spec.energy.lam,
-        sigma=t.sigma,
-        coupling=t.coupling,
-        seed=spec.seed,
-        n_steps=t.integration_steps,
-        hidden=t.hidden,
-        optimizer=t.optimizer,
-    )
-    kwargs.update(overrides)
-    try:
-        return flow.TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _classifier_path(spec: ExperimentSpec) -> Path:
@@ -444,34 +356,31 @@ def run_stage(
     """Train, evaluate and write one stage of ``STAGES``.
 
     A stage with a prior chains onto it (finetune only starts from its
-    weights) and integrates with ``transport_integration_steps``. Refit, and
-    unlearn under ``unlearn_init: fresh``, start from fresh weights; every
-    other stage with a prior starts from it. ``lam`` overrides the energy
+    weights), so ``flow.train`` integrates it with
+    ``transport_integration_steps``. Refit, and unlearn under
+    ``unlearn_init: fresh``, start from fresh weights; every other stage
+    with a prior starts from it. ``lam`` overrides the energy
     scale (the sweep's grid); invert uses ``invert_lam`` when it is set.
 
-    ``ckpt.bin`` marks a finished stage, so a stale one is removed first and
-    the new one is written last, atomically.
+    The config, prior, target and source are resolved before the stage
+    directory is touched. ``ckpt.bin`` marks a finished stage, so a stale
+    one is removed before training and the new one is written last,
+    atomically.
     """
     stage = STAGES[pipeline]
     prior = flow.load_model(_require_ckpt(spec, stage.prior)) if stage.prior else None
     stage_dir = stage_dir or Path(spec.out) / stage.dir
-    ckpt = stage_dir / "ckpt.bin"
-    ckpt.unlink(missing_ok=True)
 
-    overrides = {}
+    cfg = spec.train
     if stage.mode == "finetune":
-        overrides["steps"] = max(1, int(round(spec.train.steps * spec.finetune_fraction)))
-    elif prior is not None:
-        overrides["n_steps"] = spec.train.transport_integration_steps
+        cfg = replace(cfg, steps=max(1, int(round(cfg.steps * spec.finetune_fraction))))
     if stage.mode == "unlearn-erfm":
         if stage.target == "inverted" and spec.invert_lam is not None:
             lam = spec.invert_lam
-        lam = overrides["lam"] = spec.energy.lam if lam is None else lam
-        overrides["steps"] = spec.unlearn_steps or spec.train.steps
+        lam = spec.energy.lam if lam is None else lam
+        cfg = replace(cfg, steps=spec.unlearn_steps or cfg.steps)
     else:
         lam = None
-    cfg = _train_config(spec, stage.mode, **overrides)
-
     if stage.target in ("data", "retain"):
         target = _train_dataset(spec)
         target = target.subset(ds.RETAIN) if stage.target == "retain" else target
@@ -489,8 +398,11 @@ def run_stage(
     init = None if fresh else prior
     parent = None if stage.mode == "finetune" else prior
 
+    # everything above only reads; the stage directory changes from here on
+    ckpt = stage_dir / "ckpt.bin"
+    ckpt.unlink(missing_ok=True)
     start = time.perf_counter()
-    model = flow.train(cfg, q0, target, parent=parent, init=init)
+    model = flow.train(cfg, q0, target, mode=stage.mode, seed=spec.seed, parent=parent, init=init)
     train_time_s = time.perf_counter() - start
 
     _write_yaml(stage_dir / "config.yaml", spec.to_dict())

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import ConfigError
 from .datasets import RETAIN, LabeledDataset
 from .energy import BinaryClassifier
 
@@ -31,10 +32,13 @@ __all__ = [
     "measure_inference_ms",
     "evaluate_model",
     "REPORT_COLUMNS",
+    "MAX_EVAL_N",
 ]
 
 INFERENCE_TIMING_SAMPLES = 5000
 INFERENCE_TIMING_STEPS = 10
+# largest evaluation batch: mmd2's n x n temporaries then fit its 384 MiB budget
+MAX_EVAL_N = 4096
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,12 @@ def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelConfig = KernelConfig()) ->
         (1/n^2) sum k(x, x') + (1/m^2) sum k(y, y') - (2/nm) sum k(x, y)
 
     Symmetric in (X, Y) and non-negative; identical multisets give 0.
+
+    Memory: each kernel sum builds its n x m matrix whole, and at most three
+    n x m float64 arrays are alive at once, 24 n m bytes. The budget is
+    384 MiB, which ``MAX_EVAL_N`` (4096) keeps for n = m = ``n_eval`` in
+    ``evaluate_model``; summing in blocks instead would change the
+    summation order and with it the last bits of the estimate.
     """
     a = _as_batch(X, "X")
     b = _as_batch(Y, "Y")
@@ -176,10 +186,14 @@ def evaluate_model(
     Generated samples (n_eval of them) are scored against a held-out
     labeled sample of the benchmark: MMD against its retain subset,
     accuracy of the classifier on its labeled rows, forget rate and
-    leakage on the generated batch.
+    leakage on the generated batch. ``n_eval`` may be at most
+    ``MAX_EVAL_N`` (see ``mmd2``); a larger one raises ``ConfigError``
+    before anything is drawn.
     """
     from . import datasets as ds
 
+    if not 1 <= n_eval <= MAX_EVAL_N:
+        raise ConfigError(f"n_eval must lie in [1, {MAX_EVAL_N}], got {n_eval}")
     if heldout is None:
         # held-out evaluation data: same law, seed stream disjoint from training
         heldout = ds.generate(dataset_name, 4 * n_eval, seed=[eval_seed, 0x6576616C])

@@ -9,6 +9,7 @@ import pytest
 from cflow import datasets as ds
 from cflow import energy as en
 from cflow import flow
+from cflow.config import ConfigError
 from cflow.diffcore import Mlp, velocity_mlp
 
 
@@ -310,49 +311,74 @@ class TestSamplingAndTrajectory:
         with pytest.raises(ValueError):
             flow.ModelSampler(None, seed=0)
 
-    def test_model_sampler_missing_checkpoint_rejected(self, tmp_path):
-        from cflow.diffcore import CheckpointError
-
-        with pytest.raises(CheckpointError):
-            flow.ModelSampler.from_checkpoint(tmp_path / "none.bin", seed=0)
-
 
 class TestTrainConfigValidation:
     def test_unknown_mode_rejected(self):
+        data = ds.generate("circles", 64, 0)
         with pytest.raises(ValueError):
-            flow.TrainConfig(mode="distill")
+            flow.train(flow.TrainConfig(steps=1, batch=8), ds.GaussianSampler(seed=0), data,
+                       mode="distill")
 
-    def test_unlearn_requires_positive_lam(self):
-        with pytest.raises(ValueError):
-            flow.TrainConfig(mode="unlearn-erfm", lam=0.0)
+    def test_unlearn_records_the_energy_lam(self):
+        points = ds.generate("circles", 64, seed=0).points
+        cfg = flow.TrainConfig(steps=1, batch=8, hidden=(8,))
+        energy = en.RegionEnergy("circles", 2.5)
+        model = flow.train(cfg, ds.EmpiricalSampler(points, seed=1), energy, mode="unlearn-erfm")
+        assert model.provenance["lam"] == 2.5
+        learned = flow.train(cfg, ds.GaussianSampler(seed=1), ds.generate("circles", 64, 0))
+        assert learned.provenance["lam"] is None
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             flow.TrainConfig(sigma=-0.5)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"steps": True}, "train.steps must be an integer, got True"),
+            ({"batch": 32.0}, "train.batch must be an integer, got 32.0"),
+            ({"hidden": (8, 0)}, "train.hidden[1] must be >= 1, got 0"),
+            ({"lr": -1}, "train.lr must be positive, got -1"),
+            ({"lr": float("nan")}, "train.lr must be a finite number, got nan"),
+            ({"integration_steps": "10"}, "train.integration_steps must be an integer, got '10'"),
+            ({"optimizer": "rmsprop"}, "train.optimizer must be adam|sgd, got 'rmsprop'"),
+        ],
+    )
+    def test_bad_field_rejected_at_construction(self, kw, message):
+        with pytest.raises(ConfigError) as info:
+            flow.TrainConfig(**kw)
+        assert str(info.value) == message
+
+    def test_fields_take_their_normal_form(self):
+        cfg = flow.TrainConfig(lr=1, hidden=[8, 8])
+        assert type(cfg.lr) is float and cfg.hidden == (8, 8)
+
     def test_refit_coupling_defaults_to_ot(self):
-        cfg = flow.TrainConfig(mode="refit-ot")
-        assert cfg.resolved_coupling() == "ot"
+        data = ds.generate("circles", 64, 0)
+        cfg = flow.TrainConfig(steps=2, batch=8, hidden=(8,))
+        model = flow.train(cfg, ds.GaussianSampler(seed=0), data, mode="refit-ot")
+        assert list(model.loss_trace) == ["loss", "ot_cost", "independent_cost"]
 
     def test_mode_target_mismatch_rejected(self):
         data = ds.generate("circles", 64, 0)
         q0 = ds.GaussianSampler(seed=0)
+        cfg = flow.TrainConfig(steps=1, batch=8)
         with pytest.raises(TypeError):
-            flow.train(flow.TrainConfig(mode="learn", steps=1, batch=8), q0, en.ConstantEnergy(0.0))
+            flow.train(cfg, q0, en.ConstantEnergy(0.0), mode="learn")
         with pytest.raises(TypeError):
-            flow.train(flow.TrainConfig(mode="unlearn-erfm", steps=1, batch=8), q0, data)
+            flow.train(cfg, q0, data, mode="unlearn-erfm")
 
     def test_finetune_requires_init(self):
         data = ds.generate("circles", 64, 0)
         q0 = ds.GaussianSampler(seed=0)
         with pytest.raises(ValueError):
-            flow.train(flow.TrainConfig(mode="finetune", steps=1, batch=8), q0, data)
+            flow.train(flow.TrainConfig(steps=1, batch=8), q0, data, mode="finetune")
 
     def test_unlearn_rejects_ot_coupling(self):
         q0 = ds.GaussianSampler(seed=0)
-        cfg = flow.TrainConfig(mode="unlearn-erfm", steps=1, batch=8, coupling="ot")
+        cfg = flow.TrainConfig(steps=1, batch=8, coupling="ot")
         with pytest.raises(ValueError):
-            flow.train(cfg, q0, en.ConstantEnergy(0.0))
+            flow.train(cfg, q0, en.ConstantEnergy(0.0), mode="unlearn-erfm")
 
 
 class TestTraining:
@@ -361,8 +387,8 @@ class TestTraining:
         # (~70% of the early-window mean for gaussian sources and
         # independent pairs), so the check is a strict decrease toward it
         data = ds.generate("circles", 2000, 0)
-        cfg = flow.TrainConfig(mode="learn", steps=600, batch=128, seed=0)
-        model = flow.train(cfg, ds.GaussianSampler(seed=1), data)
+        cfg = flow.TrainConfig(steps=600, batch=128)
+        model = flow.train(cfg, ds.GaussianSampler(seed=1), data, mode="learn", seed=0)
         losses = np.array(model.loss_trace["loss"])
         head = losses[:60].mean()
         tail = losses[-60:].mean()
@@ -373,17 +399,17 @@ class TestTraining:
 
     def test_training_seeded_bit_reproducible(self):
         data = ds.generate("moons", 512, 2)
-        cfg = flow.TrainConfig(mode="learn", steps=40, batch=64, seed=5)
-        m1 = flow.train(cfg, ds.GaussianSampler(seed=9), data)
-        m2 = flow.train(cfg, ds.GaussianSampler(seed=9), data)
+        cfg = flow.TrainConfig(steps=40, batch=64)
+        m1 = flow.train(cfg, ds.GaussianSampler(seed=9), data, mode="learn", seed=5)
+        m2 = flow.train(cfg, ds.GaussianSampler(seed=9), data, mode="learn", seed=5)
         np.testing.assert_array_equal(m1.field.theta, m2.field.theta)
 
     def test_refit_ot_cost_never_exceeds_independent(self):
         data = ds.generate("circles", 512, 1)
-        cfg = flow.TrainConfig(mode="refit-ot", steps=30, batch=64, seed=3)
+        cfg = flow.TrainConfig(steps=30, batch=64)
         base = flow.FlowModel(velocity_mlp(seed=1), n_steps=10)
         q0 = flow.ModelSampler(base, seed=4)
-        model = flow.train(cfg, q0, data.subset(ds.RETAIN), parent=base)
+        model = flow.train(cfg, q0, data.subset(ds.RETAIN), mode="refit-ot", seed=3, parent=base)
         ot = np.array(model.loss_trace["ot_cost"])
         indep = np.array(model.loss_trace["independent_cost"])
         assert len(ot) == 30
@@ -393,9 +419,9 @@ class TestTraining:
         # all-forget region: most batches rejected, training still completes
         F = en.CallableEnergy(lambda p: np.full(p.shape[0], 4.9), lam=10.0)
         q0 = ds.GaussianSampler(seed=0)
-        cfg = flow.TrainConfig(mode="unlearn-erfm", steps=2, batch=4, seed=0, lam=10.0)
+        cfg = flow.TrainConfig(steps=2, batch=4)
         with pytest.raises(flow.FullySuppressedBatchError):
-            flow.train(cfg, q0, F)
+            flow.train(cfg, q0, F, mode="unlearn-erfm", seed=0)
 
 
 class PoolFreeSampler:
@@ -433,11 +459,12 @@ class TestPoolWeights:
 
     @staticmethod
     def _train_both(points, make_energy, **cfg_kw):
-        cfg = flow.TrainConfig(mode="unlearn-erfm", seed=3, hidden=(16, 16), **cfg_kw)
+        cfg = flow.TrainConfig(hidden=(16, 16), **cfg_kw)
         runs = []
         for sampler in (ds.EmpiricalSampler(points, seed=4), PoolFreeSampler(points, seed=4)):
             energy = CountingEnergy(make_energy())
-            runs.append((flow.train(cfg, sampler, energy), energy.calls))
+            model = flow.train(cfg, sampler, energy, mode="unlearn-erfm", seed=3)
+            runs.append((model, energy.calls))
         return runs
 
     # the analytic energy scores every row on its own, so any sizes agree; a
@@ -474,7 +501,7 @@ class TestPoolWeights:
             return en.CallableEnergy(lambda x: [lookup[tuple(p)] for p in x], lam=10.0)
 
         (pooled, pool_calls), (plain, batch_calls) = self._train_both(
-            points, make_energy, steps=20, batch=4, lam=10.0
+            points, make_energy, steps=20, batch=4
         )
         np.testing.assert_array_equal(pooled.field.theta, plain.field.theta)
         assert pooled.loss_trace == plain.loss_trace
@@ -485,8 +512,8 @@ class TestPoolWeights:
     def test_model_sampler_source_is_scored_per_batch(self):
         base = flow.FlowModel(velocity_mlp(hidden=(8,), seed=1), n_steps=2)
         energy = CountingEnergy(en.RegionEnergy("circles", 5.0))
-        cfg = flow.TrainConfig(mode="unlearn-erfm", steps=6, batch=8, hidden=(8,), seed=0)
-        flow.train(cfg, flow.ModelSampler(base, seed=2), energy)
+        cfg = flow.TrainConfig(steps=6, batch=8, hidden=(8,))
+        flow.train(cfg, flow.ModelSampler(base, seed=2), energy, mode="unlearn-erfm", seed=0)
         assert energy.calls == 6
 
 
@@ -509,8 +536,8 @@ class TestWeightTelemetry:
     def test_unlearn_trace_records_each_accepted_batch(self):
         points = ds.generate("circles", 64, seed=0).points
         energy = en.RegionEnergy("circles", 2.0)
-        cfg = flow.TrainConfig(mode="unlearn-erfm", steps=5, batch=8, hidden=(8,), seed=0, lam=2.0)
-        model = flow.train(cfg, ds.EmpiricalSampler(points, seed=1), energy)
+        cfg = flow.TrainConfig(steps=5, batch=8, hidden=(8,))
+        model = flow.train(cfg, ds.EmpiricalSampler(points, seed=1), energy, mode="unlearn-erfm")
         replay = ds.EmpiricalSampler(points, seed=1)
         for step in range(5):
             w = energy.weight(replay.sample(16)[8:])
@@ -520,16 +547,16 @@ class TestWeightTelemetry:
 
     def test_dataset_modes_keep_their_columns(self):
         data = ds.generate("circles", 64, seed=0)
-        cfg = flow.TrainConfig(mode="learn", steps=3, batch=8, hidden=(8,), seed=0)
-        model = flow.train(cfg, ds.GaussianSampler(seed=1), data)
+        cfg = flow.TrainConfig(steps=3, batch=8, hidden=(8,))
+        model = flow.train(cfg, ds.GaussianSampler(seed=1), data, mode="learn")
         assert list(model.loss_trace) == ["loss"]
 
 
 class TestModelPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         data = ds.generate("circles", 256, 0)
-        cfg = flow.TrainConfig(mode="learn", steps=5, batch=32, seed=0, n_steps=7)
-        model = flow.train(cfg, ds.GaussianSampler(seed=1), data)
+        cfg = flow.TrainConfig(steps=5, batch=32, integration_steps=7)
+        model = flow.train(cfg, ds.GaussianSampler(seed=1), data, mode="learn")
         path = tmp_path / "model.bin"
         flow.save_model(model, path)
         loaded = flow.load_model(path)

@@ -1,8 +1,16 @@
 """Experiment orchestration: configs, stages, artifacts, reports, CLI."""
 
+import csv
+import math
+import shutil
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cflow import cli
 from cflow import datasets as ds
@@ -10,11 +18,11 @@ from cflow import energy as en
 from cflow import flow
 from cflow import harness
 from cflow import metrics as me
-from cflow.diffcore import save_mlp, velocity_mlp
+from cflow.diffcore import Mlp, save_mlp, velocity_mlp
 
 
-def tiny_spec(tmp_path, pipeline="learn", **overrides):
-    """A fast toy spec: small data, few steps, single eval seed."""
+def tiny_config(tmp_path, pipeline="learn", **overrides) -> dict:
+    """A fast toy config: small data, few steps, single eval seed."""
     data = {
         "name": "tiny",
         "benchmark": "circles",
@@ -34,7 +42,36 @@ def tiny_spec(tmp_path, pipeline="learn", **overrides):
         "eval_n": 128,
     }
     data.update(overrides)
-    return harness.spec_from_dict(data)
+    return data
+
+
+def tiny_spec(tmp_path, pipeline="learn", **overrides):
+    return harness.spec_from_dict(tiny_config(tmp_path, pipeline, **overrides))
+
+
+def write_config(path, data) -> Path:
+    with path.open("w") as fh:
+        yaml.safe_dump(harness._plain(data), fh)
+    return path
+
+
+def read_tree(root) -> dict:
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
+def report_rows(path) -> list[dict]:
+    with Path(path).open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def learned_cli_run(tmp_path_factory):
+    """The run directory of one tiny ``cflow train``; copy it before changing it."""
+    tmp = tmp_path_factory.mktemp("learned-cli")
+    cfg = write_config(tmp / "exp.yaml", tiny_config(tmp))
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    return tmp / "run"
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +116,69 @@ class TestConfigParsing:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(harness.ConfigError):
             harness.load_spec(tmp_path / "nope.yaml")
+
+    def test_malformed_yaml_is_a_config_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("name: [unclosed\n")
+        with pytest.raises(harness.ConfigError, match="malformed YAML") as info:
+            harness.load_spec(path)
+        assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda spec: spec.with_pipeline("learn", seed=-1),
+            lambda spec: spec.with_pipeline("sweep-lambda", lambda_grid=[]),
+            lambda spec: harness.benchmark_spec("circles", out=spec.out, seed=1.5),
+            lambda spec: harness.benchmark_spec("circles", out=spec.out, train={"lr": 0}),
+        ],
+        ids=["with_pipeline-seed", "with_pipeline-empty-grid", "benchmark_spec-seed",
+             "benchmark_spec-lr"],
+    )
+    def test_every_constructor_checks(self, tmp_path, build):
+        with pytest.raises(harness.ConfigError):
+            build(tiny_spec(tmp_path))
+
+    def test_eval_n_is_bounded(self, tmp_path):
+        assert tiny_spec(tmp_path, eval_n=me.MAX_EVAL_N).eval_n == me.MAX_EVAL_N
+        with pytest.raises(harness.ConfigError, match="eval_n must be <= "):
+            tiny_spec(tmp_path, eval_n=me.MAX_EVAL_N + 1)
+
+    def test_sections_take_their_normal_form(self, tmp_path):
+        spec = tiny_spec(tmp_path, lambda_grid=[1, 2], energy={"lam": 3}, invert_lam=10)
+        assert spec.lambda_grid == (1.0, 2.0) and type(spec.lambda_grid[0]) is float
+        assert type(spec.energy.lam) is float and type(spec.invert_lam) is float
+        assert spec.train.hidden == (64, 64, 64) and spec.eval_seeds == (0,)
+
+
+HOSTILE = [True, False, "x", None, [[1]], 0, -1, -0.5, float("nan"), float("inf"), 10**30]
+SPEC_KEYS = [(f.name,) for f in fields(harness.ExperimentSpec)]
+SECTION_KEYS = [("train", f.name) for f in fields(flow.TrainConfig)] + [
+    ("energy", f.name) for f in fields(harness.EnergySection)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(SPEC_KEYS + SECTION_KEYS), value=st.sampled_from(HOSTILE))
+def test_hostile_field_gives_config_error_or_spec(key, value):
+    data = {**tiny_config(Path("run")), "energy": {}}
+    node = data
+    for k in key[:-1]:
+        node = node[k]
+    node[key[-1]] = value
+    try:
+        spec = harness.spec_from_dict(data)
+    except harness.ConfigError:
+        return
+    # an accepted value is in normal form: no bool, non-finite number or
+    # nested list, and the spec's own dump loads back unchanged
+    got = spec
+    for k in key:
+        got = getattr(got, k)
+    for v in got if isinstance(got, tuple) else [got]:
+        assert not isinstance(v, (bool, list, tuple))
+        assert not isinstance(v, float) or math.isfinite(v)
+    assert harness.spec_from_dict(harness._plain(spec.to_dict())) == spec
 
 
 class TestStages:
@@ -353,6 +453,77 @@ class TestCli:
         assert not ckpt.exists()
         assert cli.main(["invert", "--config", str(cfg)]) == 3
         assert "prior stage 'unlearn'" in capsys.readouterr().err
+        # the failed stage's stale report.csv is not a finished stage's report
+        assert (tmp_path / "run" / "unlearn" / "report.csv").exists()
+        summary = tmp_path / "summary.csv"
+        assert cli.main(["report", "--runs", str(tmp_path / "run"), "--out", str(summary)]) == 0
+        assert [row["method"] for row in report_rows(summary)] == ["learn"]
+
+    def test_sweep_is_reported_once_per_eval_seed(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.yaml",
+                           tiny_config(tmp_path, eval_seeds=[0, 1], lambda_grid=[0.5, 5.0]))
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        summary = tmp_path / "summary.csv"
+        assert cli.main(["report", "--runs", str(tmp_path / "run"), "--out", str(summary)]) == 0
+        rows = {(row["method"], row["lam"]): row["n_runs"] for row in report_rows(summary)}
+        assert rows == {("learn", ""): "2", ("unlearn", "0.5"): "2", ("unlearn", "5.0"): "2"}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"train": {"lr": -1}}, "train.lr must be positive, got -1"),
+            ({"train": {"hidden": [0]}}, "train.hidden[0] must be >= 1, got 0"),
+            ({"train": {"steps": "x"}}, "train.steps must be an integer, got 'x'"),
+            ({"train": {"batch": 32.0}}, "train.batch must be an integer, got 32.0"),
+            ({"train": {"steps": True}}, "train.steps must be an integer, got True"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"lambda_grid": [-1]}, "lambda_grid[0] must be positive, got -1"),
+            ({"source_steps": -2}, "source_steps must be >= 0, got -2"),
+            ({"name": ["a"]}, "name must be a string, got ['a']"),
+            ({"eval_n": me.MAX_EVAL_N + 1}, f"eval_n must be <= {me.MAX_EVAL_N}"),
+            ("name: [unclosed\n", "malformed YAML"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+        ids=["lr", "hidden", "steps-str", "batch-float", "steps-bool", "seed-negative",
+             "seed-float", "lambda_grid", "source_steps", "name", "eval_n", "malformed-yaml",
+             "cli-seed"],
+    )
+    def test_config_error_leaves_the_stage_untouched(self, learned_cli_run, tmp_path, capsys,
+                                                     change, message):
+        run = tmp_path / "run"
+        shutil.copytree(learned_cli_run, run)
+        before = read_tree(run / "learn")
+        good = tiny_config(tmp_path)
+        cfg = tmp_path / "bad.yaml"
+        args = []
+        if isinstance(change, str):
+            cfg.write_text(change)
+        elif isinstance(change, list):
+            write_config(cfg, good)
+            args = change
+        else:
+            train = {**good["train"], **change.pop("train", {})}
+            write_config(cfg, {**good, **change, "train": train})
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+        assert read_tree(run / "learn") == before
+        assert "ckpt.bin" in before
+
+    def test_eval_run_rejects_an_oversized_n(self, tmp_path, capsys):
+        ckpt, clf = tmp_path / "model.bin", tmp_path / "clf.bin"
+        flow.save_model(flow.FlowModel(velocity_mlp(hidden=(4,), seed=0), n_steps=1), ckpt)
+        save_mlp(Mlp([2, 4, 1], seed=0), clf, kind="classifier:circles")
+        out = tmp_path / "report.csv"
+        assert cli.main(["eval", "run", "--ckpt", str(ckpt), "--dataset", "circles",
+                         "--classifier", str(clf), "--out", str(out),
+                         "--n", str(me.MAX_EVAL_N + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"n_eval must lie in [1, {me.MAX_EVAL_N}]" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.yaml"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cflow import datasets as ds
 from cflow import energy as en
 from cflow import metrics as me
+from cflow.config import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +186,12 @@ class TestReport:
     def test_header_matches_fields(self):
         row = self.make_row()
         assert len(row.to_row()) == len(me.MetricsReport.header())
+
+    @pytest.mark.parametrize("n_eval", [0, me.MAX_EVAL_N + 1])
+    def test_n_eval_out_of_range_rejected_before_drawing(self, n_eval):
+        class NoDraws:
+            def sample(self, *args, **kwargs):
+                raise AssertionError("evaluate_model drew samples")
+
+        with pytest.raises(ConfigError, match=r"n_eval must lie in \[1, "):
+            me.evaluate_model(NoDraws(), "circles", None, n_eval=n_eval)

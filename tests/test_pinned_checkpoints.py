@@ -26,40 +26,39 @@ def _sha(net) -> str:
     return hashlib.sha256(mlp_to_bytes(net)).hexdigest()
 
 
-def _cfg(mode, **kw):
-    base = dict(mode=mode, steps=40, batch=128, lr=3e-3, seed=3, hidden=HIDDEN)
-    base.update(kw)
-    return flow.TrainConfig(**base)
+def _train(mode, q0, target, parent=None, init=None, **kw):
+    cfg = flow.TrainConfig(**{"steps": 40, "batch": 128, "lr": 3e-3, "hidden": HIDDEN, **kw})
+    return flow.train(cfg, q0, target, mode=mode, seed=3, parent=parent, init=init)
 
 
 def _learn(**kw):
     data = ds.generate("circles", 512, seed=1)
-    return flow.train(_cfg("learn", lr_decay="cosine", **kw), ds.GaussianSampler(2), data)
+    return _train("learn", ds.GaussianSampler(2), data, lr_decay="cosine", **kw)
 
 
 def _unlearn(energy):
     parent = _learn()
     q0 = flow.ModelSampler(parent, seed=4, n_steps=4)
-    return flow.train(_cfg("unlearn-erfm", sigma=0.05), q0, energy, parent=parent)
+    return _train("unlearn-erfm", q0, energy, parent=parent, sigma=0.05)
 
 
 def _unlearn_pool(benchmark, energy, parent=None):
     """unlearn-erfm drawing both endpoints from a data pool (EmpiricalSampler)."""
     q0 = ds.EmpiricalSampler(ds.generate(benchmark, 512, seed=10).points, seed=11)
-    return flow.train(_cfg("unlearn-erfm", sigma=0.05), q0, energy, parent=parent, init=parent)
+    return _train("unlearn-erfm", q0, energy, parent=parent, init=parent, sigma=0.05)
 
 
 def _refit():
     parent = _learn()
     q0 = flow.ModelSampler(parent, seed=5, n_steps=4)
     retain = ds.generate("circles", 512, seed=2).subset(ds.RETAIN)
-    return flow.train(_cfg("refit-ot"), q0, retain, parent=parent)
+    return _train("refit-ot", q0, retain, parent=parent)
 
 
 def _finetune():
     parent = _learn()
     data = ds.generate("moons", 512, seed=6)
-    return flow.train(_cfg("finetune"), ds.GaussianSampler(7), data, init=parent)
+    return _train("finetune", ds.GaussianSampler(7), data, init=parent)
 
 
 def _classifier():
