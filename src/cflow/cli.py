@@ -105,12 +105,13 @@ def _cmd_energy_eval(args) -> int:
 
 
 def _cmd_eval_run(args) -> int:
+    me.check_n_eval(args.n)
     model = flow.load_model(args.ckpt)
     net, kind = load_mlp(args.classifier)
     if not kind.startswith("classifier"):
         raise harness.ConfigError(f"checkpoint kind {kind!r} is not a classifier")
     clf = en.BinaryClassifier(net=net, trained_on=args.dataset, trained=True)
-    inference_ms, _ = me.measure_inference_ms(model, repeats=2)
+    inference_ms, _ = me.measure_inference_ms(model)
     rows = [
         me.evaluate_model(
             model,

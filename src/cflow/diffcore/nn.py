@@ -163,13 +163,18 @@ class Mlp:
         return Tensor(out, None, lambda grad: self.backward(cache, grad))
 
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
-        """Inference forward pass: same op order as ``forward``, no cache."""
+        """Inference forward pass: same op order as ``forward``, no cache.
+
+        Each layer works in place on its own fresh matmul output, so the
+        input is never written and no other temporaries are made.
+        """
         h = self._checked_input(x)
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
         return h
 
     def velocity_input(self, t, x) -> np.ndarray:

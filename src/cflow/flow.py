@@ -73,6 +73,7 @@ from .diffcore.checkpoint import (
 )
 from .diffcore.nn import row_sq_error_mean
 from .energy import EnergySpec
+from .metrics import MAX_ROWS
 
 __all__ = [
     "Coupling",
@@ -273,7 +274,7 @@ class TrainConfig:
     config. Defaults match the 2D desk-scale runs."""
 
     steps: int = knob(5000, ge=1)
-    batch: int = knob(256, ge=1)
+    batch: int = knob(256, ge=1, le=MAX_ROWS)
     lr: float = knob(1e-3, positive=True)
     lr_decay: str = knob("none", choices=("none", "cosine"))  # cosine: to 1% of lr over the run
     sigma: float = knob(0.0, ge=0)

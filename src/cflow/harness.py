@@ -157,14 +157,14 @@ class ExperimentSpec:
     pipeline: str = knob(choices=PIPELINES)
     out: str
     seed: int = knob(0, ge=0)
-    data_n: int = knob(4000, ge=2)
+    data_n: int = knob(4000, ge=2, le=me.MAX_ROWS)
     train: flow.TrainConfig = field(default_factory=flow.TrainConfig)
     energy: EnergySection = field(default_factory=EnergySection)
     unlearn_source: str = knob("model", choices=("model", "data"))
     unlearn_init: str = knob("pretrained", choices=("pretrained", "fresh"))
     unlearn_steps: int | None = knob(None, ge=1)  # override train.steps for unlearn stages
     invert_lam: float | None = knob(None, positive=True)  # suppression scale for the inversion stage
-    source_pool: int = knob(65536, ge=0)  # model-sampler draws cached per run; 0 = per-step draws
+    source_pool: int = knob(65536, ge=0, le=me.MAX_ROWS)  # model draws cached per run; 0 = per step
     source_steps: int = knob(25, ge=0)  # integration steps when drawing the source pool
     finetune_fraction: float = knob(0.2, positive=True, le=1.0)
     lambda_grid: tuple[float, ...] = knob((0.5, 2.0, 5.0, 1000.0), positive=True)
@@ -418,7 +418,7 @@ def run_stage(
     snaps = flow.trajectory(model, x0, model.n_steps, min(5, model.n_steps + 1))
     write_traj_csv(stage_dir / "traj.csv", snaps)
     clf = ensure_classifier(spec)
-    inference_ms, _ = me.measure_inference_ms(model, seed=spec.seed, repeats=2)
+    inference_ms, _ = me.measure_inference_ms(model, seed=spec.seed)
     rows = [
         me.evaluate_model(
             model,

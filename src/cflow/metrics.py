@@ -8,7 +8,8 @@
   the forget class (decision threshold 0.5), and the mean classifier
   confidence on that class (leakage).
 * Efficiency: wall-clock training time and per-sample generation
-  milliseconds measured over 5000 samples at 10 integration steps.
+  milliseconds, timed on one 1,000-sample draw at 10 integration steps
+  per chain stage.
 """
 
 from __future__ import annotations
@@ -33,12 +34,18 @@ __all__ = [
     "evaluate_model",
     "REPORT_COLUMNS",
     "MAX_EVAL_N",
+    "MAX_ROWS",
+    "check_n_eval",
 ]
 
-INFERENCE_TIMING_SAMPLES = 5000
+INFERENCE_TIMING_SAMPLES = 1000
 INFERENCE_TIMING_STEPS = 10
-# largest evaluation batch: mmd2's n x n temporaries then fit its 384 MiB budget
+# largest evaluation batch: mmd2's n x n temporaries then fit its 256 MiB budget
 MAX_EVAL_N = 4096
+# largest row count a config may ask for in one array (data_n, source_pool,
+# train.batch): 16x the largest shipped plan (a 65,536-point source pool),
+# where one 64-wide float64 activation is 512 MiB
+MAX_ROWS = 2**20
 
 
 @dataclass(frozen=True)
@@ -60,13 +67,15 @@ def _as_batch(x: np.ndarray, name: str) -> np.ndarray:
 
 
 def _kernel_sum(a: np.ndarray, b: np.ndarray, kernel: KernelConfig) -> float:
-    sq = (
-        (a * a).sum(axis=1)[:, None]
-        + (b * b).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    cross = a @ b.T
+    cross *= 2.0
+    sq -= cross
     np.maximum(sq, 0.0, out=sq)
-    return float(np.exp(-sq / (2.0 * kernel.bandwidth**2)).sum())
+    np.negative(sq, out=sq)
+    sq /= 2.0 * kernel.bandwidth**2
+    np.exp(sq, out=sq)
+    return float(sq.sum())
 
 
 def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelConfig = KernelConfig()) -> float:
@@ -76,11 +85,11 @@ def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelConfig = KernelConfig()) ->
 
     Symmetric in (X, Y) and non-negative; identical multisets give 0.
 
-    Memory: each kernel sum builds its n x m matrix whole, and at most three
-    n x m float64 arrays are alive at once, 24 n m bytes. The budget is
-    384 MiB, which ``MAX_EVAL_N`` (4096) keeps for n = m = ``n_eval`` in
-    ``evaluate_model``; summing in blocks instead would change the
-    summation order and with it the last bits of the estimate.
+    Memory: each kernel sum builds its n x m matrix whole, in place, and at
+    most two n x m float64 arrays are alive at once, 16 n m bytes. The
+    budget is 256 MiB, which ``MAX_EVAL_N`` (4096) keeps for n = m =
+    ``n_eval`` in ``evaluate_model``; summing in blocks instead would change
+    the summation order and with it the last bits of the estimate.
     """
     a = _as_batch(X, "X")
     b = _as_batch(Y, "Y")
@@ -122,9 +131,14 @@ def measure_inference_ms(
     n: int = INFERENCE_TIMING_SAMPLES,
     n_steps: int = INFERENCE_TIMING_STEPS,
     seed: int = 0,
-    repeats: int = 3,
+    repeats: int = 1,
 ) -> tuple[float, float]:
-    """Mean and std of per-sample generation time in milliseconds."""
+    """Mean and std of per-sample generation time in milliseconds over
+    ``repeats`` draws of ``n`` samples at ``n_steps`` steps per chain stage.
+
+    The defaults are the report's ``inference_ms_per_sample``: one
+    1,000-sample draw at 10 steps per chain stage.
+    """
     times = []
     for r in range(repeats):
         start = time.perf_counter()
@@ -169,6 +183,12 @@ class MetricsReport:
 REPORT_COLUMNS = MetricsReport.header()
 
 
+def check_n_eval(n_eval: int) -> None:
+    """ConfigError unless ``n_eval`` lies in [1, ``MAX_EVAL_N``]."""
+    if not 1 <= n_eval <= MAX_EVAL_N:
+        raise ConfigError(f"n_eval must lie in [1, {MAX_EVAL_N}], got {n_eval}")
+
+
 def evaluate_model(
     model,
     dataset_name: str,
@@ -192,8 +212,7 @@ def evaluate_model(
     """
     from . import datasets as ds
 
-    if not 1 <= n_eval <= MAX_EVAL_N:
-        raise ConfigError(f"n_eval must lie in [1, {MAX_EVAL_N}], got {n_eval}")
+    check_n_eval(n_eval)
     if heldout is None:
         # held-out evaluation data: same law, seed stream disjoint from training
         heldout = ds.generate(dataset_name, 4 * n_eval, seed=[eval_seed, 0x6576616C])

@@ -92,6 +92,19 @@ class TestMlpForward:
         x = np.random.default_rng(1).normal(size=(13, 3))
         np.testing.assert_array_equal(m(x).data, m.forward_raw(x))
 
+    # odd row counts cover the last ``B mod 4`` rows, which OpenBLAS rounds
+    # its own way in a B-row matmul
+    @pytest.mark.parametrize("widths", [[3, 64, 64, 64, 2], [2, 64, 64, 64, 1]],
+                             ids=["velocity", "classifier"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 256, 1000, 5000])
+    def test_forward_raw_is_forward_bit_for_bit(self, widths, n):
+        m = Mlp(widths, seed=4)
+        x = np.random.default_rng(n).normal(size=(n, widths[0]))
+        x_before = x.copy()
+        out = m.forward_raw(x)
+        np.testing.assert_array_equal(out, m.forward(x)[0])
+        np.testing.assert_array_equal(x, x_before)
+
     def test_input_width_checked(self):
         m = velocity_mlp(seed=0)
         with pytest.raises(ShapeError):

@@ -18,7 +18,7 @@ from cflow import energy as en
 from cflow import flow
 from cflow import harness
 from cflow import metrics as me
-from cflow.diffcore import Mlp, save_mlp, velocity_mlp
+from cflow.diffcore import save_mlp, velocity_mlp
 
 
 def tiny_config(tmp_path, pipeline="learn", **overrides) -> dict:
@@ -483,12 +483,15 @@ class TestCli:
             ({"source_steps": -2}, "source_steps must be >= 0, got -2"),
             ({"name": ["a"]}, "name must be a string, got ['a']"),
             ({"eval_n": me.MAX_EVAL_N + 1}, f"eval_n must be <= {me.MAX_EVAL_N}"),
+            ({"data_n": 10**30}, f"data_n must be <= {me.MAX_ROWS}, got {10**30}"),
+            ({"source_pool": 10**30}, f"source_pool must be <= {me.MAX_ROWS}, got {10**30}"),
+            ({"train": {"batch": 10**30}}, f"train.batch must be <= {me.MAX_ROWS}, got {10**30}"),
             ("name: [unclosed\n", "malformed YAML"),
             (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
         ids=["lr", "hidden", "steps-str", "batch-float", "steps-bool", "seed-negative",
-             "seed-float", "lambda_grid", "source_steps", "name", "eval_n", "malformed-yaml",
-             "cli-seed"],
+             "seed-float", "lambda_grid", "source_steps", "name", "eval_n", "data_n",
+             "source_pool", "batch", "malformed-yaml", "cli-seed"],
     )
     def test_config_error_leaves_the_stage_untouched(self, learned_cli_run, tmp_path, capsys,
                                                      change, message):
@@ -513,13 +516,17 @@ class TestCli:
         assert read_tree(run / "learn") == before
         assert "ckpt.bin" in before
 
-    def test_eval_run_rejects_an_oversized_n(self, tmp_path, capsys):
-        ckpt, clf = tmp_path / "model.bin", tmp_path / "clf.bin"
-        flow.save_model(flow.FlowModel(velocity_mlp(hidden=(4,), seed=0), n_steps=1), ckpt)
-        save_mlp(Mlp([2, 4, 1], seed=0), clf, kind="classifier:circles")
+    def test_eval_run_rejects_an_oversized_n(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eval run did work before checking --n")
+
+        # --n is checked before the model, the classifier or the timing draw
+        monkeypatch.setattr(flow, "load_model", fail)
+        monkeypatch.setattr(cli, "load_mlp", fail)
+        monkeypatch.setattr(me, "measure_inference_ms", fail)
         out = tmp_path / "report.csv"
-        assert cli.main(["eval", "run", "--ckpt", str(ckpt), "--dataset", "circles",
-                         "--classifier", str(clf), "--out", str(out),
+        assert cli.main(["eval", "run", "--ckpt", "model.bin", "--dataset", "circles",
+                         "--classifier", "clf.bin", "--out", str(out),
                          "--n", str(me.MAX_EVAL_N + 1)]) == 2
         err = capsys.readouterr().err
         assert f"n_eval must lie in [1, {me.MAX_EVAL_N}]" in err and err.count("\n") == 1

@@ -1,5 +1,7 @@
 """MMD estimator, classifier metrics, timing, and report assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import mmd2_reference
@@ -83,6 +85,19 @@ class TestMmd:
         gaps = [me.mmd2(x, x + [[d, 0.0]]) for d in (0.5, 1.0, 2.0, 3.0)]
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
 
+    def test_kernel_sums_hold_two_matrices_at_most(self):
+        n = 1000
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            me.mmd2(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = n * n * 8
+        assert peak < 2.5 * matrix  # two n x n float64 arrays and small change
+
     def test_bandwidth_validated(self):
         with pytest.raises(ValueError):
             me.KernelConfig(bandwidth=0.0)
@@ -154,6 +169,18 @@ class TestTiming:
         mean, spread = me.measure_inference_ms(model, n=500, repeats=3)
         assert mean > 0.0
         assert spread >= 0.0
+
+    def test_default_is_one_1000_sample_draw_at_10_steps(self):
+        class Recorder:
+            calls = []
+
+            def sample(self, n, n_steps=None, seed=0):
+                self.calls.append((n, n_steps))
+
+        model = Recorder()
+        mean, spread = me.measure_inference_ms(model)
+        assert model.calls == [(1000, 10)]
+        assert mean >= 0.0 and spread == 0.0
 
 
 class TestReport:
