@@ -96,7 +96,7 @@ class TestMmd:
         finally:
             tracemalloc.stop()
         matrix = n * n * 8
-        assert peak < 2.5 * matrix  # two n x n float64 arrays and small change
+        assert peak < 2.5 * matrix  # two n x n float64 arrays plus small ones
 
     def test_bandwidth_validated(self):
         with pytest.raises(ValueError):
@@ -172,7 +172,8 @@ class TestTiming:
 
     def test_default_is_one_1000_sample_draw_at_10_steps(self):
         class Recorder:
-            calls = []
+            def __init__(self):
+                self.calls = []
 
             def sample(self, n, n_steps=None, seed=0):
                 self.calls.append((n, n_steps))

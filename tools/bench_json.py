@@ -124,8 +124,7 @@ def main(argv=None) -> int:
     checkouts = {}
     for label in labels:
         first = next(r for w in args.workloads for r in runs[w][label])
-        checkouts[label] = {"path": str(roots[label]), "commit": _commit(roots[label]),
-                            "environment": first["environment"]}
+        checkouts[label] = {"commit": _commit(roots[label]), "environment": first["environment"]}
     workloads = {}
     for workload, by_label in runs.items():
         entry = {}
