@@ -33,10 +33,11 @@ from . import flow
 from . import harness
 from . import metrics as me
 from .config import from_mapping, read_yaml
-from .diffcore import AutodiffError, CheckpointError, load_mlp
+from .diffcore import AutodiffError, CheckpointError
 
 
 def _cmd_datasets(args) -> int:
+    me.check_count("--n", args.n, me.MAX_ROWS)
     data = ds.generate(args.name, args.n, args.seed if args.seed is not None else 0)
     ds.export_csv(data, args.out)
     print(f"wrote {len(data)} points to {args.out}")
@@ -54,6 +55,8 @@ def _run_pipeline(args, pipeline: str) -> int:
 
 
 def _cmd_sample(args) -> int:
+    me.check_count("--n", args.n, me.MAX_ROWS)
+    me.check_count("--steps", args.steps)
     model = flow.load_model(args.ckpt)
     pts = model.sample(args.n, n_steps=args.steps, seed=args.seed if args.seed is not None else 0)
     ds.write_csv(args.out, ["x", "y"], pts)
@@ -62,6 +65,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_traj(args) -> int:
+    me.check_count("--n", args.n, me.MAX_ROWS)
+    me.check_count("--steps", args.steps)
     model = flow.load_model(args.ckpt)
     seed = args.seed if args.seed is not None else 0
     x0 = model.base_states(args.n, seed=seed, n_steps=args.steps)
@@ -88,11 +93,7 @@ def _energy_from_spec(path: str) -> en.EnergySpec:
                 f"{path}: unknown benchmark {raw['benchmark']!r}; expected one of {ds.BENCHMARKS}"
             )
         return en.RegionEnergy(raw["benchmark"], section.lam, sharpness=section.sharpness)
-    net, kind = load_mlp(raw["classifier_ckpt"])
-    if not kind.startswith("classifier"):
-        raise harness.ConfigError(f"{path}: checkpoint kind {kind!r} is not a classifier")
-    clf = en.BinaryClassifier(net=net, trained_on=kind, trained=True)
-    return en.from_classifier(clf, section.lam)
+    return en.ClassifierEnergy(en.load_classifier(raw["classifier_ckpt"]), section.lam)
 
 
 def _cmd_energy_eval(args) -> int:
@@ -105,25 +106,10 @@ def _cmd_energy_eval(args) -> int:
 
 
 def _cmd_eval_run(args) -> int:
-    me.check_n_eval(args.n)
+    me.check_count("n_eval", args.n, me.MAX_EVAL_N)
     model = flow.load_model(args.ckpt)
-    net, kind = load_mlp(args.classifier)
-    if not kind.startswith("classifier"):
-        raise harness.ConfigError(f"checkpoint kind {kind!r} is not a classifier")
-    clf = en.BinaryClassifier(net=net, trained_on=args.dataset, trained=True)
-    inference_ms, _ = me.measure_inference_ms(model)
-    rows = [
-        me.evaluate_model(
-            model,
-            args.dataset,
-            clf,
-            n_eval=args.n,
-            eval_seed=s,
-            method=args.method,
-            inference_ms=inference_ms,
-        )
-        for s in args.seeds
-    ]
+    clf = en.load_classifier(args.classifier)
+    rows = me.evaluate_rows(model, args.dataset, clf, args.n, args.seeds, method=args.method)
     harness.write_report_csv(Path(args.out), rows)
     print(f"wrote {len(rows)} report rows to {args.out}")
     return 0

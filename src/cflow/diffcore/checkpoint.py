@@ -82,15 +82,12 @@ def save_mlp(model: Mlp, path: str | Path, kind: str = "mlp") -> None:
     Path(path).write_bytes(mlp_to_bytes(model, kind=kind))
 
 
-def load_mlp(path: str | Path, expect_kind: str | None = None) -> tuple[Mlp, str]:
+def load_mlp(path: str | Path) -> tuple[Mlp, str]:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     with path.open("rb") as fh:
-        model, kind = mlp_from_buffer(fh)
-    if expect_kind is not None and kind != expect_kind:
-        raise CheckpointError(f"checkpoint kind is {kind!r}, expected {expect_kind!r}")
-    return model, kind
+        return mlp_from_buffer(fh)
 
 
 def read_exact(buf: io.BufferedIOBase, n: int) -> bytes:

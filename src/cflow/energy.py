@@ -12,8 +12,9 @@ so w is near 1 on low-energy (retain) regions and near 0 on high-energy
 Variants: smooth analytic region energies for the 2D benchmarks (a scaled
 tanh of the geometric margin, bounded so extreme lam values stay
 well-conditioned), classifier-derived energies (the logit score of a
-trained retain/forget classifier), pointwise negation (``invert``),
-constants, and arbitrary callables for composition and testing.
+trained retain/forget classifier, read from a checkpoint by
+``load_classifier``), pointwise negation (``InvertedEnergy``), constants,
+and arbitrary callables for composition and testing.
 
 Sign note: the weight uses the convention that F is HIGH on forget
 regions, so a classifier confident in "forget" (C near 1) drives the
@@ -24,12 +25,14 @@ weight toward 0. That matches the closed form
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import datasets
-from .diffcore import Mlp, Adam, bce_with_logits
+from .config import ConfigError
+from .diffcore import Mlp, Adam, bce_with_logits, load_mlp
 
 __all__ = [
     "EnergySpec",
@@ -41,9 +44,8 @@ __all__ = [
     "BinaryClassifier",
     "ClassifierConfig",
     "sigmoid",
-    "invert",
-    "from_classifier",
     "train_classifier",
+    "load_classifier",
 ]
 
 ENERGY_SATURATION = 5.0  # |F| cap for analytic region energies
@@ -87,41 +89,33 @@ class EnergySpec:
 class RegionEnergy(EnergySpec):
     """Smooth signed indicator of a benchmark's forget region.
 
-    F(x) = saturation * tanh(sharpness * margin(x) / saturation), where the
-    margin is positive on the forget side; |F| stays below ``saturation`` so
+    F(x) = S * tanh(sharpness * margin(x) / S) with S = ``ENERGY_SATURATION``,
+    where the margin is positive on the forget side; |F| stays below S so
     sigmoid(-lam*F) is well-conditioned even at lam = 1000.
     """
 
-    def __init__(
-        self,
-        benchmark: str,
-        lam: float,
-        sharpness: float = DEFAULT_SHARPNESS,
-        saturation: float = ENERGY_SATURATION,
-    ):
+    def __init__(self, benchmark: str, lam: float, sharpness: float = DEFAULT_SHARPNESS):
         super().__init__(lam)
         if benchmark not in datasets.BENCHMARKS:
             raise ValueError(f"unknown benchmark {benchmark!r}")
         self.benchmark = benchmark
         self.sharpness = float(sharpness)
-        self.saturation = float(saturation)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         margin = datasets.forget_margin(self.benchmark, self._points(x))
-        return self.saturation * np.tanh(self.sharpness * margin / self.saturation)
+        return ENERGY_SATURATION * np.tanh(self.sharpness * margin / ENERGY_SATURATION)
 
 
 class ClassifierEnergy(EnergySpec):
     """Logit score of a trained forget-vs-retain classifier.
 
-    F(x) = logit(C(x)) with C clamped to [eps, 1-eps], so F is finite and
-    sigmoid(-lam*F) equals (1-C)^lam / ((1-C)^lam + C^lam).
+    F(x) = logit(C(x)) with C clamped to [eps, 1-eps] (eps =
+    ``CLASSIFIER_PROB_CLAMP``), so F is finite and sigmoid(-lam*F) equals
+    (1-C)^lam / ((1-C)^lam + C^lam).
     """
 
     def __init__(self, classifier: "BinaryClassifier", lam: float):
         super().__init__(lam)
-        if not classifier.trained:
-            raise ValueError("classifier must be trained before use as an energy")
         self.classifier = classifier
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -132,8 +126,8 @@ class ClassifierEnergy(EnergySpec):
 class InvertedEnergy(EnergySpec):
     """Pointwise negation: evaluate(x) == -inner.evaluate(x), same lam."""
 
-    def __init__(self, inner: EnergySpec, lam: float | None = None):
-        super().__init__(inner.lam if lam is None else lam)
+    def __init__(self, inner: EnergySpec):
+        super().__init__(inner.lam)
         self.inner = inner
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -162,15 +156,6 @@ class CallableEnergy(EnergySpec):
         return np.asarray(self.fn(self._points(x)), dtype=np.float64)
 
 
-def invert(spec: EnergySpec) -> InvertedEnergy:
-    """Negate the field; weights flip to 1 - w at shared lam."""
-    return InvertedEnergy(spec)
-
-
-def from_classifier(classifier: "BinaryClassifier", lam: float) -> ClassifierEnergy:
-    return ClassifierEnergy(classifier, lam)
-
-
 # -- binary classifier ------------------------------------------------------
 
 
@@ -195,18 +180,14 @@ class BinaryClassifier:
     """MLP with a scalar logit head estimating P(x is forget-class | x)."""
 
     net: Mlp
-    trained_on: str = "untrained"
-    seed: int = 0
     holdout_accuracy: float | None = None
-    eps: float = CLASSIFIER_PROB_CLAMP
-    trained: bool = field(default=False)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         return self.net.forward_raw(np.asarray(x, dtype=np.float64)).reshape(-1)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """C(x), clamped strictly inside (0, 1)."""
-        return np.clip(sigmoid(self.logits(x)), self.eps, 1.0 - self.eps)
+        return np.clip(sigmoid(self.logits(x)), CLASSIFIER_PROB_CLAMP, 1.0 - CLASSIFIER_PROB_CLAMP)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.where(self.predict_proba(x) > 0.5, datasets.FORGET, datasets.RETAIN)
@@ -242,6 +223,15 @@ def train_classifier(
         loss.backward()
         opt.step()
 
-    clf = BinaryClassifier(net=net, trained_on=data.name, seed=cfg.seed, trained=True)
+    clf = BinaryClassifier(net=net)
     clf.holdout_accuracy = float(np.mean(clf.predict(x_hold) == y_hold))
     return clf
+
+
+def load_classifier(path: str | Path) -> BinaryClassifier:
+    """The classifier saved at ``path``; ConfigError unless the checkpoint's
+    kind tag starts with ``classifier:``."""
+    net, kind = load_mlp(path)
+    if not kind.startswith("classifier:"):
+        raise ConfigError(f"{path}: checkpoint kind {kind!r} is not a classifier")
+    return BinaryClassifier(net=net)

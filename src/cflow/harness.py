@@ -8,7 +8,7 @@ touches its directory. A run produces artifacts under ``<out>/<stage>/``:
 
     config.yaml   resolved spec echoed verbatim (re-runnable on its own)
     meta.yaml     seed, stage, config hash
-    ckpt.bin      model checkpoint (classifier stages: classifier.bin)
+    ckpt.bin      model checkpoint
     loss.csv      per-step training loss (plus OT costs when applicable)
     traj.csv      integration snapshots of the trained stage
     report.csv    one metrics row per evaluation seed
@@ -20,6 +20,10 @@ dependency chain: unlearning, refitting and fine-tuning need the pretrained
 model from the ``learn`` stage; energy inversion needs the unlearned model.
 Missing dependencies are reported by naming the stage that must run first;
 ``ckpt.bin`` is written last, so its presence means the stage finished.
+The stages share ``<out>/classifier/``: ``classifier.bin`` and a
+``meta.yaml`` with the benchmark, seed and ``data_n`` it was trained for,
+its held-out accuracy and the config hash. It is reused only while those
+three match the spec; otherwise it is trained again.
 All randomness derives from the spec seed, so re-running a config
 reproduces its checkpoints bit-exactly.
 """
@@ -42,7 +46,7 @@ from . import energy as en
 from . import flow
 from . import metrics as me
 from .config import ConfigError, check, from_mapping, knob, read_yaml
-from .diffcore import load_mlp, save_mlp
+from .diffcore import save_mlp
 
 __all__ = [
     "PIPELINES",
@@ -235,19 +239,27 @@ def _classifier_path(spec: ExperimentSpec) -> Path:
 
 
 def ensure_classifier(spec: ExperimentSpec) -> en.BinaryClassifier:
-    """Train (or reload) the benchmark's retain/forget classifier."""
+    """The benchmark's retain/forget classifier: the cached one when its
+    ``meta.yaml`` records the spec's benchmark, seed and ``data_n``, else a
+    newly trained one that replaces the cache."""
     path = _classifier_path(spec)
-    if path.exists():
-        net, kind = load_mlp(path, expect_kind=f"classifier:{spec.benchmark}")
-        return en.BinaryClassifier(net=net, trained_on=spec.benchmark, seed=spec.seed, trained=True)
-    data = _train_dataset(spec)
-    clf = en.train_classifier(data, en.ClassifierConfig(seed=spec.seed))
+    meta = path.parent / "meta.yaml"
+    key = {"benchmark": spec.benchmark, "seed": spec.seed, "data_n": spec.data_n}
+    if path.exists() and meta.exists():
+        try:
+            recorded = yaml.safe_load(meta.read_text())
+        except (yaml.YAMLError, UnicodeDecodeError):
+            recorded = None  # unreadable: train again
+        if isinstance(recorded, dict) and all(recorded.get(k) == v for k, v in key.items()):
+            return en.load_classifier(path)
+    clf = en.train_classifier(_train_dataset(spec), en.ClassifierConfig(seed=spec.seed))
+    # without its meta.yaml a half-replaced cache is never reused
+    meta.unlink(missing_ok=True)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_mlp(clf.net, path, kind=f"classifier:{spec.benchmark}")
-    _write_yaml(path.parent / "meta.yaml", {
+    _write_yaml(meta, {
         "stage": "classifier",
-        "benchmark": spec.benchmark,
-        "seed": spec.seed,
+        **key,
         "holdout_accuracy": clf.holdout_accuracy,
         "config_sha256": spec.config_hash(),
     })
@@ -312,13 +324,6 @@ def _model_source(spec: ExperimentSpec, model: flow.FlowModel):
     return flow.ModelSampler(model, seed=[spec.seed, _TAG_Q0], n_steps=steps)
 
 
-def _build_energy(spec: ExperimentSpec, lam: float) -> en.EnergySpec:
-    if spec.energy.kind == "analytic":
-        return en.RegionEnergy(spec.benchmark, lam, sharpness=spec.energy.sharpness)
-    clf = ensure_classifier(spec)
-    return en.from_classifier(clf, lam)
-
-
 # -- pipelines ----------------------------------------------------------------
 
 
@@ -362,10 +367,11 @@ def run_stage(
     with a prior starts from it. ``lam`` overrides the energy
     scale (the sweep's grid); invert uses ``invert_lam`` when it is set.
 
-    The config, prior, target and source are resolved before the stage
-    directory is touched. ``ckpt.bin`` marks a finished stage, so a stale
-    one is removed before training and the new one is written last,
-    atomically.
+    The config, prior, classifier, target and source are resolved before
+    the stage directory is touched; the one classifier is both the
+    classifier energy and the stage's judge. ``ckpt.bin`` marks a finished
+    stage, so a stale one is removed before training and the new one is
+    written last, atomically.
     """
     stage = STAGES[pipeline]
     prior = flow.load_model(_require_ckpt(spec, stage.prior)) if stage.prior else None
@@ -381,12 +387,16 @@ def run_stage(
         cfg = replace(cfg, steps=spec.unlearn_steps or cfg.steps)
     else:
         lam = None
+    clf = ensure_classifier(spec)
     if stage.target in ("data", "retain"):
         target = _train_dataset(spec)
         target = target.subset(ds.RETAIN) if stage.target == "retain" else target
+    elif spec.energy.kind == "analytic":
+        target = en.RegionEnergy(spec.benchmark, lam, sharpness=spec.energy.sharpness)
     else:
-        target = _build_energy(spec, lam)
-        target = en.invert(target) if stage.target == "inverted" else target
+        target = en.ClassifierEnergy(clf, lam)
+    if stage.target == "inverted":
+        target = en.InvertedEnergy(target)
     source = spec.unlearn_source if stage.source == "unlearn_source" else stage.source
     if source == "gaussian":
         q0 = ds.GaussianSampler(seed=[spec.seed, _TAG_Q0])
@@ -417,22 +427,8 @@ def run_stage(
     x0 = model.base_states(512, seed=[spec.seed, _TAG_TRAJ])
     snaps = flow.trajectory(model, x0, model.n_steps, min(5, model.n_steps + 1))
     write_traj_csv(stage_dir / "traj.csv", snaps)
-    clf = ensure_classifier(spec)
-    inference_ms, _ = me.measure_inference_ms(model, seed=spec.seed)
-    rows = [
-        me.evaluate_model(
-            model,
-            spec.benchmark,
-            clf,
-            n_eval=spec.eval_n,
-            eval_seed=es,
-            method=stage.dir,
-            lam=lam,
-            train_time_s=train_time_s,
-            inference_ms=inference_ms,
-        )
-        for es in spec.eval_seeds
-    ]
+    rows = me.evaluate_rows(model, spec.benchmark, clf, spec.eval_n, spec.eval_seeds, method=stage.dir,
+                            lam=lam, train_time_s=train_time_s, timing_seed=spec.seed)
     write_report_csv(stage_dir / "report.csv", rows)
     partial = stage_dir / "ckpt.bin.partial"
     flow.save_model(model, partial)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import ConfigError
-from .datasets import RETAIN, LabeledDataset
+from .datasets import RETAIN, generate
 from .energy import BinaryClassifier
 
 __all__ = [
@@ -32,19 +32,20 @@ __all__ = [
     "leakage",
     "measure_inference_ms",
     "evaluate_model",
+    "evaluate_rows",
     "REPORT_COLUMNS",
     "MAX_EVAL_N",
     "MAX_ROWS",
-    "check_n_eval",
+    "check_count",
 ]
 
 INFERENCE_TIMING_SAMPLES = 1000
 INFERENCE_TIMING_STEPS = 10
 # largest evaluation batch: mmd2's n x n temporaries then fit its 256 MiB budget
 MAX_EVAL_N = 4096
-# largest row count a config may ask for in one array (data_n, source_pool,
-# train.batch): 16x the largest shipped plan (a 65,536-point source pool),
-# where one 64-wide float64 activation is 512 MiB
+# largest row count a config or a CLI --n may ask for in one array (data_n,
+# source_pool, train.batch): 16x the largest shipped plan (a 65,536-point
+# source pool), where one 64-wide float64 activation is 512 MiB
 MAX_ROWS = 2**20
 
 
@@ -131,20 +132,16 @@ def measure_inference_ms(
     n: int = INFERENCE_TIMING_SAMPLES,
     n_steps: int = INFERENCE_TIMING_STEPS,
     seed: int = 0,
-    repeats: int = 1,
-) -> tuple[float, float]:
-    """Mean and std of per-sample generation time in milliseconds over
-    ``repeats`` draws of ``n`` samples at ``n_steps`` steps per chain stage.
+) -> float:
+    """Per-sample generation time in milliseconds of one draw of ``n``
+    samples at ``n_steps`` steps per chain stage.
 
     The defaults are the report's ``inference_ms_per_sample``: one
     1,000-sample draw at 10 steps per chain stage.
     """
-    times = []
-    for r in range(repeats):
-        start = time.perf_counter()
-        model.sample(n, n_steps=n_steps, seed=seed + r)
-        times.append((time.perf_counter() - start) * 1000.0 / n)
-    return float(np.mean(times)), float(np.std(times))
+    start = time.perf_counter()
+    model.sample(n, n_steps=n_steps, seed=seed)
+    return (time.perf_counter() - start) * 1000.0 / n
 
 
 @dataclass
@@ -183,10 +180,12 @@ class MetricsReport:
 REPORT_COLUMNS = MetricsReport.header()
 
 
-def check_n_eval(n_eval: int) -> None:
-    """ConfigError unless ``n_eval`` lies in [1, ``MAX_EVAL_N``]."""
-    if not 1 <= n_eval <= MAX_EVAL_N:
-        raise ConfigError(f"n_eval must lie in [1, {MAX_EVAL_N}], got {n_eval}")
+def check_count(name: str, value: int, high: int | None = None) -> None:
+    """ConfigError unless ``value`` is >= 1 and, when ``high`` is given, at
+    most ``high``: the check a size makes before anything is read or drawn."""
+    if value < 1 or (high is not None and value > high):
+        bound = "be >= 1" if high is None else f"lie in [1, {high}]"
+        raise ConfigError(f"{name} must {bound}, got {value}")
 
 
 def evaluate_model(
@@ -199,7 +198,6 @@ def evaluate_model(
     lam: float | None = None,
     train_time_s: float | None = None,
     inference_ms: float | None = None,
-    heldout: LabeledDataset | None = None,
 ) -> MetricsReport:
     """Assemble one report row for a trained generator.
 
@@ -210,13 +208,9 @@ def evaluate_model(
     ``MAX_EVAL_N`` (see ``mmd2``); a larger one raises ``ConfigError``
     before anything is drawn.
     """
-    from . import datasets as ds
-
-    check_n_eval(n_eval)
-    if heldout is None:
-        # held-out evaluation data: same law, seed stream disjoint from training
-        heldout = ds.generate(dataset_name, 4 * n_eval, seed=[eval_seed, 0x6576616C])
-    retain = heldout.retain_points
+    check_count("n_eval", n_eval, MAX_EVAL_N)
+    # held-out evaluation data: same law, seed stream disjoint from training
+    retain = generate(dataset_name, 4 * n_eval, seed=[eval_seed, 0x6576616C]).retain_points
     if retain.shape[0] < n_eval:
         raise ValueError("held-out retain subset smaller than n_eval")
     generated = model.sample(n_eval, seed=[eval_seed, 0x67656E])
@@ -235,3 +229,18 @@ def evaluate_model(
         train_time_s=train_time_s,
         inference_ms_per_sample=inference_ms,
     )
+
+
+def evaluate_rows(
+    model, dataset_name: str, classifier: BinaryClassifier, n_eval: int, eval_seeds, *,
+    method: str, lam: float | None = None, train_time_s: float | None = None, timing_seed: int = 0,
+) -> list[MetricsReport]:
+    """One ``evaluate_model`` row per eval seed, each with the
+    ``inference_ms_per_sample`` of one timing draw seeded ``timing_seed``.
+    A harness stage and ``cflow eval run`` both score a model this way."""
+    inference_ms = measure_inference_ms(model, seed=timing_seed)
+    return [
+        evaluate_model(model, dataset_name, classifier, n_eval=n_eval, eval_seed=seed, method=method,
+                       lam=lam, train_time_s=train_time_s, inference_ms=inference_ms)
+        for seed in eval_seeds
+    ]

@@ -270,12 +270,6 @@ class TestCheckpoint:
         # byte-for-byte: serializing the loaded model reproduces the file
         assert mlp_to_bytes(loaded, kind="velocity") == path.read_bytes()
 
-    def test_kind_tag_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "net.bin"
-        save_mlp(Mlp([2, 4, 1], seed=0), path, kind="classifier:circles")
-        with pytest.raises(CheckpointError):
-            load_mlp(path, expect_kind="velocity")
-
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_mlp(tmp_path / "absent.bin")

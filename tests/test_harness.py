@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, stages, artifacts, reports, CLI."""
 
 import csv
+import hashlib
 import math
 import shutil
 from dataclasses import fields
@@ -249,6 +250,49 @@ def _classifier_dir(spec):
     from pathlib import Path
 
     return Path(spec.out) / "classifier"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestClassifierCache:
+    @pytest.mark.parametrize("change", [{"seed": 1}, {"data_n": 1024}], ids=["seed", "data_n"])
+    def test_a_different_key_retrains(self, tmp_path, change):
+        first = tiny_spec(tmp_path)
+        harness.run(first)
+        clf = _classifier_dir(first) / "classifier.bin"
+        before = _sha256(clf)
+        second = tiny_spec(tmp_path, **change)
+        harness.run(second)
+        assert _sha256(clf) != before
+        meta = yaml.safe_load((_classifier_dir(second) / "meta.yaml").read_text())
+        assert {k: meta.get(k) for k in ("benchmark", "seed", "data_n")} == {
+            "benchmark": second.benchmark, "seed": second.seed, "data_n": second.data_n}
+
+    def test_the_same_key_loads_once_per_stage_and_never_trains(self, tmp_path, monkeypatch):
+        spec = tiny_spec(tmp_path, energy={"kind": "classifier", "lam": 5.0})
+        harness.run(spec)
+        clf = _classifier_dir(spec) / "classifier.bin"
+        before = _sha256(clf)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cached classifier was trained again")
+
+        loads = []
+        load = en.load_classifier
+
+        def counted(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(en, "train_classifier", refuse)
+        monkeypatch.setattr(en, "load_classifier", counted)
+        harness.run(spec)
+        harness.run(spec.with_pipeline("unlearn-erfm"))
+        # one load each: the unlearn stage's energy and its scores share it
+        assert loads == [clf, clf]
+        assert _sha256(clf) == before
 
 
 class TestDeterminismAndSufficiency:
@@ -522,7 +566,7 @@ class TestCli:
 
         # --n is checked before the model, the classifier or the timing draw
         monkeypatch.setattr(flow, "load_model", fail)
-        monkeypatch.setattr(cli, "load_mlp", fail)
+        monkeypatch.setattr(en, "load_classifier", fail)
         monkeypatch.setattr(me, "measure_inference_ms", fail)
         out = tmp_path / "report.csv"
         assert cli.main(["eval", "run", "--ckpt", "model.bin", "--dataset", "circles",
@@ -530,6 +574,74 @@ class TestCli:
                          "--n", str(me.MAX_EVAL_N + 1)]) == 2
         err = capsys.readouterr().err
         assert f"n_eval must lie in [1, {me.MAX_EVAL_N}]" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_eval_run_scores_like_the_stage_epilogue(self, tmp_path):
+        spec = tiny_spec(tmp_path, energy={"kind": "classifier", "lam": 5.0}, eval_seeds=[0, 1])
+        harness.run(spec)
+        art = harness.run(spec.with_pipeline("unlearn-erfm"))
+        out = tmp_path / "eval.csv"
+        assert cli.main(["eval", "run", "--ckpt", str(art.ckpt_path), "--dataset", spec.benchmark,
+                         "--classifier", str(_classifier_dir(spec) / "classifier.bin"),
+                         "--out", str(out), "--n", str(spec.eval_n), "--seeds", "0", "1"]) == 0
+        scores = ("seed", "mmd_retain", "retention_accuracy", "forget_rate", "leakage")
+
+        def cells(path):
+            return [{k: row[k] for k in scores} for row in report_rows(path)]
+
+        # the CSV cells are Python reprs, so equal text is equal bits
+        assert cells(out) == cells(art.stage_dir / "report.csv")
+
+    @pytest.mark.parametrize("command", ["eval-run", "energy-eval"])
+    def test_velocity_checkpoint_is_not_a_classifier(self, tmp_path, capsys, command):
+        velocity = tmp_path / "velocity.bin"
+        save_mlp(velocity_mlp(seed=0), velocity, kind="velocity")
+        out = tmp_path / "out.csv"
+        if command == "eval-run":
+            model = tmp_path / "model.bin"
+            flow.save_model(flow.FlowModel(velocity_mlp(seed=0), n_steps=3), model)
+            argv = ["eval", "run", "--ckpt", str(model), "--dataset", "circles",
+                    "--classifier", str(velocity), "--n", "16"]
+        else:
+            points = tmp_path / "pts.csv"
+            points.write_text("x,y\n0.5,0.5\n")
+            espec = tmp_path / "energy.yaml"
+            espec.write_text(f"kind: classifier\nclassifier_ckpt: {velocity}\n")
+            argv = ["energy", "eval", "--spec", str(espec), "--points", str(points)]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {velocity}: checkpoint kind 'velocity' is not a classifier\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample", "--n", "0"], f"--n must lie in [1, {me.MAX_ROWS}], got 0"),
+            (["sample", "--n", "-3"], f"--n must lie in [1, {me.MAX_ROWS}], got -3"),
+            (["sample", "--n", str(10**31)], f"--n must lie in [1, {me.MAX_ROWS}], got {10**31}"),
+            (["sample", "--steps", "0"], "--steps must be >= 1, got 0"),
+            (["traj", "--n", "0"], f"--n must lie in [1, {me.MAX_ROWS}], got 0"),
+            (["traj", "--n", str(10**31)], f"--n must lie in [1, {me.MAX_ROWS}], got {10**31}"),
+            (["traj", "--steps", "0"], "--steps must be >= 1, got 0"),
+            (["datasets", "export", "--name", "circles", "--n", "0"],
+             f"--n must lie in [1, {me.MAX_ROWS}], got 0"),
+            (["datasets", "export", "--name", "circles", "--n", str(10**31)],
+             f"--n must lie in [1, {me.MAX_ROWS}], got {10**31}"),
+        ],
+        ids=["sample-n-0", "sample-n-negative", "sample-n-huge", "sample-steps-0", "traj-n-0",
+             "traj-n-huge", "traj-steps-0", "export-n-0", "export-n-huge"],
+    )
+    def test_size_flags_are_config_errors(self, tmp_path, capsys, monkeypatch, argv, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("a size flag went past its check")
+
+        # nothing is read or drawn before the sizes are checked
+        monkeypatch.setattr(flow, "load_model", fail)
+        monkeypatch.setattr(ds, "generate", fail)
+        out = tmp_path / "out.csv"
+        ckpt = [] if argv[0] == "datasets" else ["--ckpt", str(tmp_path / "model.bin")]
+        assert cli.main([*argv, *ckpt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):

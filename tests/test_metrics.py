@@ -156,19 +156,10 @@ class TestTiming:
         from cflow import flow
 
         model = flow.FlowModel(velocity_mlp(seed=0), n_steps=10)
-        ms10, _ = me.measure_inference_ms(model, n=2000, n_steps=10, repeats=1)
-        ms100, _ = me.measure_inference_ms(model, n=2000, n_steps=100, repeats=1)
+        ms10 = me.measure_inference_ms(model, n=2000, n_steps=10)
+        ms100 = me.measure_inference_ms(model, n=2000, n_steps=100)
         ratio = ms100 / ms10
         assert 10 / 3 <= ratio <= 30  # ~linear in steps, generous slack
-
-    def test_returns_mean_and_spread(self):
-        from cflow.diffcore import velocity_mlp
-        from cflow import flow
-
-        model = flow.FlowModel(velocity_mlp(seed=0), n_steps=10)
-        mean, spread = me.measure_inference_ms(model, n=500, repeats=3)
-        assert mean > 0.0
-        assert spread >= 0.0
 
     def test_default_is_one_1000_sample_draw_at_10_steps(self):
         class Recorder:
@@ -179,9 +170,9 @@ class TestTiming:
                 self.calls.append((n, n_steps))
 
         model = Recorder()
-        mean, spread = me.measure_inference_ms(model)
+        ms = me.measure_inference_ms(model)
         assert model.calls == [(1000, 10)]
-        assert mean >= 0.0 and spread == 0.0
+        assert isinstance(ms, float) and ms >= 0.0
 
 
 class TestReport:
