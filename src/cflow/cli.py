@@ -33,7 +33,7 @@ from . import flow
 from . import harness
 from . import metrics as me
 from .config import from_mapping, read_yaml
-from .diffcore import AutodiffError, CheckpointError
+from .diffcore import AutodiffError, CheckpointError, set_blas_threads
 
 
 def _cmd_datasets(args) -> int:
@@ -67,6 +67,7 @@ def _cmd_sample(args) -> int:
 def _cmd_traj(args) -> int:
     me.check_count("--n", args.n, me.MAX_ROWS)
     me.check_count("--steps", args.steps)
+    me.check_count("--snapshots", args.snapshots, args.steps + 1, low=2)
     model = flow.load_model(args.ckpt)
     seed = args.seed if args.seed is not None else 0
     x0 = model.base_states(args.n, seed=seed, n_steps=args.steps)
@@ -107,6 +108,8 @@ def _cmd_energy_eval(args) -> int:
 
 def _cmd_eval_run(args) -> int:
     me.check_count("n_eval", args.n, me.MAX_EVAL_N)
+    for seed in args.seeds:
+        me.check_count("--seeds", seed, low=0)
     model = flow.load_model(args.ckpt)
     clf = en.load_classifier(args.classifier)
     rows = me.evaluate_rows(model, args.dataset, clf, args.n, args.seeds, method=args.method)
@@ -215,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    set_blas_threads()
     try:
         return args.func(args)
     except harness.ConfigError as exc:

@@ -1,7 +1,8 @@
 """Minimal float64 numerics: MLP with explicit backward, optimizers, checkpoints."""
 
+from .blas import blas_threads, set_blas_threads
 from .checkpoint import CheckpointError, load_mlp, mlp_from_buffer, mlp_to_bytes, save_mlp
-from .nn import DEFAULT_HIDDEN, Mlp, bce_with_logits, velocity_mlp
+from .nn import DEFAULT_HIDDEN, Mlp, bce_with_logits, inference_threads, velocity_mlp
 from .optim import Adam, Sgd, StaleGradientError
 from .tensor import AutodiffError, NonFiniteError, ShapeError, Tensor
 
@@ -22,4 +23,7 @@ __all__ = [
     "load_mlp",
     "mlp_to_bytes",
     "mlp_from_buffer",
+    "blas_threads",
+    "set_blas_threads",
+    "inference_threads",
 ]

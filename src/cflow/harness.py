@@ -7,7 +7,7 @@ built (unknown keys are rejected), so a bad config fails before any stage
 touches its directory. A run produces artifacts under ``<out>/<stage>/``:
 
     config.yaml   resolved spec echoed verbatim (re-runnable on its own)
-    meta.yaml     seed, stage, config hash
+    meta.yaml     seed, stage, config hash; BLAS threads, inference threads, CPUs
     ckpt.bin      model checkpoint
     loss.csv      per-step training loss (plus OT costs when applicable)
     traj.csv      integration snapshots of the trained stage
@@ -46,7 +46,7 @@ from . import energy as en
 from . import flow
 from . import metrics as me
 from .config import ConfigError, check, from_mapping, knob, read_yaml
-from .diffcore import save_mlp
+from .diffcore import blas_threads, inference_threads, save_mlp
 
 __all__ = [
     "PIPELINES",
@@ -420,6 +420,9 @@ def run_stage(
         "stage": pipeline,
         "seed": spec.seed,
         "config_sha256": spec.config_hash(),
+        "blas_threads": blas_threads(),
+        "inference_threads": inference_threads(),
+        "cpu_count": os.cpu_count(),
     })
     trace = model.loss_trace
     loss_rows = ((i, *row) for i, row in enumerate(zip_longest(*trace.values())))

@@ -115,16 +115,21 @@ def retention_accuracy(
     return float(np.mean(classifier.predict(pts) == labels))
 
 
+def _forget_scores(classifier: BinaryClassifier, generated: np.ndarray) -> tuple[float, float]:
+    """``forget_rate`` and ``leakage`` of one generated batch, from one
+    classifier pass over it."""
+    proba = classifier.predict_proba(_as_batch(generated, "generated"))
+    return float(np.mean(proba > 0.5)), float(np.mean(proba))
+
+
 def forget_rate(classifier: BinaryClassifier, generated: np.ndarray) -> float:
     """Fraction of generated samples classified into the forget class."""
-    pts = _as_batch(generated, "generated")
-    return float(np.mean(classifier.predict_proba(pts) > 0.5))
+    return _forget_scores(classifier, generated)[0]
 
 
 def leakage(classifier: BinaryClassifier, generated: np.ndarray) -> float:
     """Mean classifier confidence on the forget class over generated samples."""
-    pts = _as_batch(generated, "generated")
-    return float(np.mean(classifier.predict_proba(pts)))
+    return _forget_scores(classifier, generated)[1]
 
 
 def measure_inference_ms(
@@ -180,11 +185,12 @@ class MetricsReport:
 REPORT_COLUMNS = MetricsReport.header()
 
 
-def check_count(name: str, value: int, high: int | None = None) -> None:
-    """ConfigError unless ``value`` is >= 1 and, when ``high`` is given, at
-    most ``high``: the check a size makes before anything is read or drawn."""
-    if value < 1 or (high is not None and value > high):
-        bound = "be >= 1" if high is None else f"lie in [1, {high}]"
+def check_count(name: str, value: int, high: int | None = None, low: int = 1) -> None:
+    """ConfigError unless ``value`` is >= ``low`` and, when ``high`` is
+    given, at most ``high``: the check a count makes before anything is
+    read or drawn."""
+    if value < low or (high is not None and value > high):
+        bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise ConfigError(f"{name} must {bound}, got {value}")
 
 
@@ -217,6 +223,7 @@ def evaluate_model(
     real = retain[:n_eval]
     # accuracy is scored on real held-out retained samples (labels all retain)
     acc_labels = np.full(retain.shape[0], RETAIN)
+    rate, leak = _forget_scores(classifier, generated)
     return MetricsReport(
         dataset=dataset_name,
         method=method,
@@ -224,8 +231,8 @@ def evaluate_model(
         lam=lam,
         mmd_retain=mmd2(generated, real),
         retention_accuracy=retention_accuracy(classifier, retain, acc_labels),
-        forget_rate=forget_rate(classifier, generated),
-        leakage=leakage(classifier, generated),
+        forget_rate=rate,
+        leakage=leak,
         train_time_s=train_time_s,
         inference_ms_per_sample=inference_ms,
     )

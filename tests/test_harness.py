@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import os
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +20,7 @@ from cflow import energy as en
 from cflow import flow
 from cflow import harness
 from cflow import metrics as me
-from cflow.diffcore import save_mlp, velocity_mlp
+from cflow.diffcore import blas_threads, inference_threads, save_mlp, velocity_mlp
 
 
 def tiny_config(tmp_path, pipeline="learn", **overrides) -> dict:
@@ -191,6 +192,9 @@ class TestStages:
         meta = yaml.safe_load((d / "meta.yaml").read_text())
         assert meta["config_sha256"] == spec.config_hash()
         assert meta["seed"] == spec.seed
+        assert meta["blas_threads"] == blas_threads()
+        assert meta["inference_threads"] == inference_threads()
+        assert meta["cpu_count"] == os.cpu_count()
         rows = harness.read_report_csv(d / "report.csv")
         assert len(rows) == 1
         assert rows[0].method == "learn"
@@ -627,9 +631,14 @@ class TestCli:
              f"--n must lie in [1, {me.MAX_ROWS}], got 0"),
             (["datasets", "export", "--name", "circles", "--n", str(10**31)],
              f"--n must lie in [1, {me.MAX_ROWS}], got {10**31}"),
+            (["traj", "--snapshots", "1"], "--snapshots must lie in [2, 11], got 1"),
+            (["traj", "--steps", "3", "--snapshots", "50"], "--snapshots must lie in [2, 4], got 50"),
+            (["eval", "run", "--dataset", "circles", "--classifier", "clf.bin", "--seeds", "0", "-1"],
+             "--seeds must be >= 0, got -1"),
         ],
         ids=["sample-n-0", "sample-n-negative", "sample-n-huge", "sample-steps-0", "traj-n-0",
-             "traj-n-huge", "traj-steps-0", "export-n-0", "export-n-huge"],
+             "traj-n-huge", "traj-steps-0", "export-n-0", "export-n-huge", "traj-snapshots-1",
+             "traj-snapshots-past-steps", "eval-seeds-negative"],
     )
     def test_size_flags_are_config_errors(self, tmp_path, capsys, monkeypatch, argv, message):
         def fail(*args, **kwargs):
