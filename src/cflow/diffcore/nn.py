@@ -26,8 +26,10 @@ BLAS thread on an AVX-512 Xeon:
   computed in, as long as the range has more than one row: ranges cut at
   multiples of 4 (and at 2, 3 or 6) matched the whole batch exactly for
   3->64, 2->64 and 64->64 layers up to 12,289 rows. A one-row range goes
-  through gemv and differs in 1 of n rows, so every block here holds at
-  least ``BLOCK_ROWS`` rows and starts at a multiple of it.
+  through gemv instead: cut off from 1,025 rows, that row differed in 19
+  to 24 of its 64 first-layer columns. So every block here holds at least
+  ``BLOCK_ROWS`` rows (a short tail joins the block before it) and starts
+  at a multiple of ``BLOCK_ROWS``.
 * The 64->2 output layer does not: OpenBLAS picks another dgemm kernel as
   the batch grows, and cutting 12,288 rows into two halves changed 20,279
   of the 24,576 outputs (7,813 rows: 12,890 of 15,626). So it stays one
