@@ -33,7 +33,7 @@ from . import flow
 from . import harness
 from . import metrics as me
 from .config import from_mapping, read_yaml
-from .diffcore import AutodiffError, CheckpointError, set_blas_threads
+from .diffcore import AutodiffError, CheckpointError
 
 
 def _cmd_datasets(args) -> int:
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_blas_threads()
     try:
         return args.func(args)
     except harness.ConfigError as exc:

@@ -1,8 +1,13 @@
-"""Minimal float64 numerics: MLP with explicit backward, optimizers, checkpoints."""
+"""Minimal float64 numerics: MLP with explicit backward, optimizers, checkpoints.
+
+Importing this package (so importing ``cflow``) sets numpy's bundled
+OpenBLAS to ``blas.BLAS_THREADS`` (one) thread, for the command line and a
+library caller alike; see ``blas``.
+"""
 
 from .blas import blas_threads, set_blas_threads
 from .checkpoint import CheckpointError, load_mlp, mlp_from_buffer, mlp_to_bytes, save_mlp
-from .nn import DEFAULT_HIDDEN, Mlp, bce_with_logits, inference_threads, velocity_mlp
+from .nn import DEFAULT_HIDDEN, Mlp, bce_with_logits, inference_pool, inference_threads, velocity_mlp
 from .optim import Adam, Sgd, StaleGradientError
 from .tensor import AutodiffError, NonFiniteError, ShapeError, Tensor
 
@@ -26,4 +31,7 @@ __all__ = [
     "blas_threads",
     "set_blas_threads",
     "inference_threads",
+    "inference_pool",
 ]
+
+set_blas_threads()

@@ -4,8 +4,10 @@ cflow runs BLAS on ``BLAS_THREADS`` (one) thread. Its matrices are at most
 64 wide, where a second BLAS thread costs more in hand-off than it saves
 (a 256x64x64 matmul on a loaded 2-vCPU host took 1.56 ms on two threads and
 66 us on one), and ``Mlp.forward_raw`` spreads large batches over the CPUs
-itself. The count is set through the library, not ``OPENBLAS_NUM_THREADS``,
-because numpy may already be imported. Where numpy does not ship its own
+itself. Importing ``cflow.diffcore`` calls ``set_blas_threads`` once, so
+the command line and a library caller run alike. The count is set through
+the library, not ``OPENBLAS_NUM_THREADS``, because numpy may already be
+imported. Where numpy does not ship its own
 OpenBLAS (``numpy.libs/libscipy_openblas*.so``), ``blas_threads`` reports
 None and ``set_blas_threads`` does nothing.
 """

@@ -37,6 +37,11 @@ BLAS thread on an AVX-512 Xeon:
 
 Below two blocks, or for a network without a hidden layer, ``forward_raw``
 runs the serial loop in the calling thread.
+
+``inference_pool`` is the process's one worker pool. Besides these row
+blocks it runs ``flow.train``'s minibatch-OT solves ahead of the training
+step. No job submits another or waits on one, so the pool cannot deadlock;
+a caller's row blocks may only queue behind solves already submitted.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
     "row_sq_error_mean",
     "num_parameters",
     "inference_threads",
+    "inference_pool",
 ]
 
 DEFAULT_HIDDEN = (64, 64, 64)
@@ -86,13 +92,13 @@ _pool: _Pool | None = None
 _pool_lock = threading.Lock()
 
 
-def _inference_pool() -> _Pool:
-    """The process's inference pool, started on first use."""
+def inference_pool() -> _Pool:
+    """The process's worker pool (``executor``, ``threads``), started on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
             threads = inference_threads()
-            _pool = _Pool(ThreadPoolExecutor(threads, thread_name_prefix="cflow-forward"), threads)
+            _pool = _Pool(ThreadPoolExecutor(threads, thread_name_prefix="cflow-pool"), threads)
         return _pool
 
 
@@ -137,7 +143,7 @@ def _pooled_hidden(layers, x: np.ndarray) -> np.ndarray:
     blocks), each pool thread computing one run of blocks."""
     n = x.shape[0]
     hidden = np.empty((n, layers[-1][0].shape[1]))
-    pool = _inference_pool()
+    pool = inference_pool()
     edges = _block_edges(0, n, min(pool.threads, n // BLOCK_ROWS))
     futures = [
         pool.executor.submit(_hidden_rows, layers, x, hidden, lo, hi)

@@ -16,6 +16,9 @@ Two objectives are provided:
 
 Pairs come from a ``Coupling``: either independent draws or an exact
 minibatch optimal-transport assignment minimizing total squared distance.
+A mode's coupling is fixed by ``train_coupling``: unlearn-erfm pairs
+independently and refit-ot needs OT, so a config that asks otherwise is a
+``ConfigError``.
 
 ``train`` drives the loop for four modes:
 
@@ -42,6 +45,20 @@ both taken from the weights of the accepted batch:
                    1 when all weights are equal, 1/B when one pair
                    carries all the weight.
 
+Under the OT coupling the assignments are solved ahead of the step. The
+main thread draws the x0 and x1 batches of up to ``OT_WINDOW`` coming
+steps (never past the last) and submits each step's cost matrix,
+assignment and pairing cost to ``diffcore.inference_pool``; step k takes
+the result of the oldest job, while scipy solves the next ones on the other
+cores with the GIL released. The result is bit-identical to solving each
+step in turn: every sampler owns its generator, so a batch drawn early is
+the batch drawn on time; ``t`` and the conditional noise still come from
+the step stream inside the loop, in the same order; and an assignment is a
+pure function of its batches. A job only computes: it never samples and
+calls no public entry point, so a tracer that wraps those sees one thread. When a step raises, the
+queued jobs are cancelled and the running ones awaited before the error
+leaves ``train``; a job's own error reaches the caller with its type.
+
 Sampling integrates the learned ODE with forward Euler over t in [0, 1].
 ``integrate`` is the only Euler loop: ``FlowModel.push`` runs it once per
 chain stage, and ``trajectory`` takes its snapshots through the per-step
@@ -55,15 +72,17 @@ from __future__ import annotations
 import io
 import json
 import struct
+from collections import deque
+from concurrent.futures import wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .config import check, knob
+from .config import ConfigError, check, knob
 from .datasets import EmpiricalSampler, GaussianSampler, LabeledDataset
-from .diffcore import Adam, Mlp, Sgd, Tensor, velocity_mlp
+from .diffcore import Adam, Mlp, Sgd, Tensor, inference_pool, velocity_mlp
 from .diffcore.checkpoint import (
     CheckpointError,
     mlp_from_buffer,
@@ -89,6 +108,7 @@ __all__ = [
     "weight_stats",
     "independent_coupling",
     "ot_coupling",
+    "train_coupling",
     "train",
     "integrate",
     "trajectory",
@@ -99,6 +119,10 @@ __all__ = [
 MODES = ("learn", "unlearn-erfm", "refit-ot", "finetune")
 SUPPRESSED_WEIGHT_SUM = 1e-12
 MAX_BATCH_RESAMPLES = 100
+# OT solves in flight ahead of the training step, 2 * threads + 2 for the
+# 2-vCPU host: threads + 1 left the step waiting on its solve more often
+# (238-291 refit steps/s against 288-316)
+OT_WINDOW = 6
 
 MODEL_MAGIC = b"CFLOWMDL"
 MODEL_VERSION = 1
@@ -185,6 +209,11 @@ def ot_coupling(x0: np.ndarray, x1: np.ndarray) -> Coupling:
 
     Marginals are preserved: x0 keeps its order and x1 is permuted.
     """
+    return _ot_coupling(x0, x1)
+
+
+def _ot_coupling(x0: np.ndarray, x1: np.ndarray) -> Coupling:
+    # the solve itself; pool jobs call this, never the public name
     a, b = _pair_arrays(x0, x1)
     if a.ndim != 2:
         raise ValueError("ot_coupling expects (n, d) batches")
@@ -194,6 +223,34 @@ def ot_coupling(x0: np.ndarray, x1: np.ndarray) -> Coupling:
     # recompute the optimal cost directly so it is exact, not the expanded form
     cost = float(((a - b[cols]) ** 2).sum())
     return Coupling(x0=a, x1=b[cols], plan="ot", cost=cost)
+
+
+def _ot_job(x0: np.ndarray, x1: np.ndarray) -> tuple[Coupling, float]:
+    """One step's OT coupling and the cost of its independent pairing."""
+    return _ot_coupling(x0, x1), pairing_cost(x0, x1)
+
+
+def _ot_steps(q0, data_sampler: EmpiricalSampler, batch: int, steps: int):
+    """Yield ``(coupling, independent_cost)`` for each of ``steps`` steps,
+    solved on the pool up to ``OT_WINDOW`` steps ahead (module docstring).
+
+    Close the generator when the loop stops early: that cancels the queued
+    jobs and waits for the running ones.
+    """
+    executor = inference_pool().executor
+    pending = deque()
+    drawn = 0
+    try:
+        for _ in range(steps):
+            while drawn < steps and len(pending) < OT_WINDOW:
+                x0 = q0.sample(batch)
+                pending.append(executor.submit(_ot_job, x0, data_sampler.sample(batch)))
+                drawn += 1
+            yield pending.popleft().result()
+    finally:
+        for job in pending:
+            job.cancel()
+        wait(pending)
 
 
 # -- losses -------------------------------------------------------------------
@@ -266,6 +323,20 @@ def weight_stats(w: np.ndarray) -> tuple[float, float]:
 
 
 # -- training -----------------------------------------------------------------
+
+
+def train_coupling(mode: str, coupling: str | None) -> str:
+    """The coupling ``mode`` trains with: ``coupling`` (``train.coupling``)
+    or, when it is None, the mode's own. A ConfigError if the two do not fit."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "unlearn-erfm" and coupling == "ot":
+        raise ConfigError("train.coupling: ot does not fit unlearn-erfm, which pairs endpoints "
+                          "independently from q0")
+    if mode == "refit-ot" and coupling == "independent":
+        raise ConfigError("train.coupling: independent does not fit refit-ot, which requires the "
+                          "ot coupling")
+    return coupling or ("ot" if mode == "refit-ot" else "independent")
 
 
 @dataclass
@@ -393,19 +464,12 @@ def train(
     Deterministic: identical (cfg, mode, seed, q0 construction, target)
     reproduce the returned parameters bit-for-bit.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    coupling = cfg.coupling or ("ot" if mode == "refit-ot" else "independent")
+    use_ot = train_coupling(mode, cfg.coupling) == "ot"
     dataset_mode = mode in ("learn", "finetune", "refit-ot")
     if dataset_mode and not isinstance(target, LabeledDataset):
         raise TypeError(f"mode {mode!r} requires a LabeledDataset target")
-    if mode == "unlearn-erfm":
-        if not isinstance(target, EnergySpec):
-            raise TypeError("mode 'unlearn-erfm' requires an EnergySpec target")
-        if coupling == "ot":
-            raise ValueError("unlearn-erfm pairs endpoints independently from q0")
-    if mode == "refit-ot" and coupling != "ot":
-        raise ValueError("refit-ot requires the ot coupling")
+    if mode == "unlearn-erfm" and not isinstance(target, EnergySpec):
+        raise TypeError("mode 'unlearn-erfm' requires an EnergySpec target")
     if mode == "finetune" and init is None:
         raise ValueError("finetune requires an initial model")
 
@@ -418,7 +482,6 @@ def train(
     opt = opt_cls(field, lr=cfg.lr)
     rng = np.random.default_rng([seed, 0x7261696E])  # step stream (t, noise)
     data_sampler = EmpiricalSampler(target.points, seed=[seed, 0x64617461]) if dataset_mode else None
-    use_ot = coupling == "ot"
     unlearn = mode == "unlearn-erfm"
     # the energy is frozen, so a pool's weights are computed once
     pool_w = target.weight(q0.points) if unlearn and isinstance(q0, EmpiricalSampler) else None
@@ -429,45 +492,46 @@ def train(
     weight_means: list[float] = []
     ess_fracs: list[float] = []
 
-    for step_idx in range(cfg.steps):
-        if cfg.lr_decay == "cosine":
-            frac = step_idx / cfg.steps
-            opt.lr = cfg.lr * (0.01 + 0.99 * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        for attempt in range(MAX_BATCH_RESAMPLES + 1):
+    ot_steps = _ot_steps(q0, data_sampler, cfg.batch, cfg.steps) if use_ot else None
+    try:
+        for step_idx in range(cfg.steps):
+            if cfg.lr_decay == "cosine":
+                frac = step_idx / cfg.steps
+                opt.lr = cfg.lr * (0.01 + 0.99 * 0.5 * (1.0 + np.cos(np.pi * frac)))
             if unlearn:
-                if pool_w is None:
-                    both = q0.sample(2 * cfg.batch)
-                    w = target.weight(both[cfg.batch :])
-                else:
-                    idx = q0.sample_indices(2 * cfg.batch)
-                    both, w = q0.points[idx], pool_w[idx[cfg.batch :]]
-                x0, x1 = both[: cfg.batch], both[cfg.batch :]
+                for attempt in range(MAX_BATCH_RESAMPLES + 1):
+                    if pool_w is None:
+                        both = q0.sample(2 * cfg.batch)
+                        w = target.weight(both[cfg.batch :])
+                    else:
+                        idx = q0.sample_indices(2 * cfg.batch)
+                        both, w = q0.points[idx], pool_w[idx[cfg.batch :]]
+                    coupling = independent_coupling(both[: cfg.batch], both[cfg.batch :])
+                    t = rng.uniform(0.0, 1.0, size=cfg.batch)
+                    try:
+                        loss = erfm_loss(field, coupling, t, w, sigma=cfg.sigma, rng=rng)
+                        break
+                    except FullySuppressedBatchError:
+                        if attempt == MAX_BATCH_RESAMPLES:
+                            raise
+                mean, ess = weight_stats(w)
+                weight_means.append(mean)
+                ess_fracs.append(ess)
             else:
-                x0 = q0.sample(cfg.batch)
-                x1 = data_sampler.sample(cfg.batch)
-            t = rng.uniform(0.0, 1.0, size=cfg.batch)
-            if use_ot:
-                coupling = ot_coupling(x0, x1)
-                indep_costs.append(pairing_cost(x0, x1))
-                ot_costs.append(coupling.cost)
-            else:
-                coupling = independent_coupling(x0, x1)
-            try:
-                if unlearn:
-                    loss = erfm_loss(field, coupling, t, w, sigma=cfg.sigma, rng=rng)
+                if use_ot:
+                    coupling, indep_cost = next(ot_steps)
+                    indep_costs.append(indep_cost)
+                    ot_costs.append(coupling.cost)
                 else:
-                    loss = cfm_loss(field, coupling, t, sigma=cfg.sigma, rng=rng)
-                break
-            except FullySuppressedBatchError:
-                if attempt == MAX_BATCH_RESAMPLES:
-                    raise
-        loss.backward()
-        opt.step()
-        losses.append(loss.item())
-        if unlearn:
-            mean, ess = weight_stats(w)
-            weight_means.append(mean)
-            ess_fracs.append(ess)
+                    coupling = independent_coupling(q0.sample(cfg.batch), data_sampler.sample(cfg.batch))
+                t = rng.uniform(0.0, 1.0, size=cfg.batch)
+                loss = cfm_loss(field, coupling, t, sigma=cfg.sigma, rng=rng)
+            loss.backward()
+            opt.step()
+            losses.append(loss.item())
+    finally:
+        if ot_steps is not None:
+            ot_steps.close()
 
     provenance = {
         "mode": mode,

@@ -6,7 +6,7 @@ small machine each spinning up a thread per core slow one another down many
 times over. The environment variables cover a numpy imported after this
 file, in this process or a spawned worker; a plugin may already have
 imported it, so the thread count of numpy's bundled OpenBLAS is also set
-directly, through ``cflow.diffcore.set_blas_threads``.
+directly, which importing ``cflow.diffcore`` does.
 """
 
 import os
@@ -16,10 +16,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from cflow.diffcore import blas_threads, set_blas_threads  # noqa: E402
+from cflow.diffcore import blas_threads  # noqa: E402
 from cflow.metrics import KernelConfig  # noqa: E402
-
-set_blas_threads()
 
 
 def pytest_report_header(config):

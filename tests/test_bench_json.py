@@ -13,19 +13,22 @@ bench_json = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_json)
 
 # prints what perfbench/run.py prints; op_ms_p50 is the checkout's speed
-# file plus the seed, and each run logs its seed and checkout one level up
+# file plus the seed, a traced run prints one per-layer metric instead, and
+# each run logs its seed, checkout and tracing one level up
 FAKE_RUN = textwrap.dedent('''
     import json, sys
     from pathlib import Path
     args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
     seed = int(args["--seed"])
     with open("../calls.txt", "a") as fh:
-        fh.write(f"{seed} {Path.cwd().name}\\n")
+        fh.write(f"{seed} {Path.cwd().name}{' traced' if args['--trace'] == '1' else ''}\\n")
     ms = float(Path("speed.txt").read_text()) + seed
     print("env " + json.dumps({"blas_threads": 1, "src_cflow_lines": 7}))
     print(f"ckpt_sha256 {args['--workload']} sha{seed}")
     metrics = {"op_ms_p50": {"value": ms, "unit": "ms"},
                "work_per_s": {"value": 1000.0 / ms, "unit": "1/s"}}
+    if args["--trace"] == "1":
+        metrics = {"flow.ot_coupling_s": {"value": ms / 1000.0, "unit": "s/op"}}
     print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
 ''')
 
@@ -68,4 +71,11 @@ def test_writes_pairs_in_alternating_order(tmp_path):
     assert entry["parent"]["failed"] == 0 and entry["parent"]["attempted"] == 12
     assert (tmp_path / "calls.txt").read_text().split("\n") == [
         "1 parent", "1 change", "2 change", "2 parent",
-        "3 parent", "3 change", "4 change", "4 parent", ""]
+        "3 parent", "3 change", "4 change", "4 parent",
+        "1 parent traced", "1 change traced", ""]
+    # one traced run per checkout at the first seed, kept beside the pairs
+    assert entry["change"]["traced"] == {
+        "seed": 1, "metrics": {"flow.ot_coupling_s": {"unit": "s/op", "value": 0.051}},
+        "attempted": 3, "failed": 0, "nonzero_exits": 0, "ckpt_sha256": ["sha1"]}
+    assert entry["parent"]["traced"]["metrics"]["flow.ot_coupling_s"]["value"] == 0.101
+    assert "flow.ot_coupling_s" not in entry["parent"]["metrics"]

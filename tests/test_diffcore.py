@@ -1,7 +1,11 @@
 """Loss handles, MLP forward and backward, optimizer, and checkpoint behavior."""
 
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +327,17 @@ class TestCheckpoint:
         path.write_bytes(raw)
         with pytest.raises(CheckpointError):
             load_mlp(path)
+
+
+def test_importing_cflow_sets_one_blas_thread():
+    # a fresh interpreter with no thread variables, as a library caller that
+    # never goes through the command line starts; OpenBLAS would take one
+    # thread per core
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import cflow; from cflow.diffcore import blas_threads; print(blas_threads())"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout.strip()
+    if out == "None":
+        pytest.skip("numpy ships no bundled OpenBLAS here")
+    assert out == "1"

@@ -564,6 +564,32 @@ class TestCli:
         assert read_tree(run / "learn") == before
         assert "ckpt.bin" in before
 
+    @pytest.mark.parametrize(
+        "command, coupling, message",
+        [
+            ("refit", "independent",
+             "train.coupling: independent does not fit refit-ot, which requires the ot coupling"),
+            ("unlearn", "ot",
+             "train.coupling: ot does not fit unlearn-erfm, which pairs endpoints independently from q0"),
+        ],
+        ids=["refit-independent", "unlearn-ot"],
+    )
+    def test_coupling_that_does_not_fit_the_stage_is_a_config_error(
+            self, learned_cli_run, tmp_path, capsys, monkeypatch, command, coupling, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("the parent checkpoint was read")
+
+        monkeypatch.setattr(flow, "load_model", fail)
+        run = tmp_path / "run"
+        shutil.copytree(learned_cli_run, run)
+        before = read_tree(run)
+        good = tiny_config(tmp_path)
+        cfg = write_config(tmp_path / "bad.yaml", {**good, "train": {**good["train"], "coupling": coupling}})
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert read_tree(run) == before
+
     def test_eval_run_rejects_an_oversized_n(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("eval run did work before checking --n")

@@ -136,7 +136,7 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
     results, pools = {}, set()
 
     def call(i):
-        pools.add(id(nn._inference_pool()))
+        pools.add(id(nn.inference_pool()))
         results[i] = [m.forward_raw(inputs[i]) for _ in range(3)]
 
     callers = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]

@@ -11,10 +11,12 @@ seed, every checkout runs
 
 once, from its own directory, one run at a time. The order of the checkouts
 is reversed from one seed to the next, so the runs of one seed form an
-alternating pair. The file holds, per workload and checkout, the median and
+alternating pair. After the pairs of a workload, every checkout also runs it
+once with ``--trace 1`` at the first seed, for the per-layer metrics. The file holds, per workload and checkout, the median and
 quartiles of every end-to-end metric over the seeds, the per-seed values,
 the checkpoint hashes per seed (and whether they agree across checkouts)
-and the failed operations. For each metric it also
+and the failed operations, and beside them the traced run's per-layer
+metrics, hashes and failed operations. For each metric it also
 counts the seeds on which the last checkout beat the first, in the
 direction ``BENCHMARK.json`` gives. Each checkout keeps perfbench's
 ``environment`` block and its git commit.
@@ -56,10 +58,10 @@ def _commit(root: Path) -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run: its metrics, environment, hashes and failures."""
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """One perfbench run: its metrics, environment, hashes and failures."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=20 * seconds + 900)
     lines = proc.stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -76,6 +78,19 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         "units": {k: m["unit"] for k, m in last["metrics"].items()},
         "environment": env,
         "ckpt_sha256": shas,
+    }
+
+
+def _traced_entry(result: dict) -> dict:
+    """A traced run as the BENCH file keeps it: one value per per-layer metric."""
+    return {
+        "seed": result["seed"],
+        "metrics": {name: {"unit": result["units"][name], "value": value}
+                    for name, value in result["metrics"].items()},
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "nonzero_exits": int(result["exit"] != 0),
+        "ckpt_sha256": result["ckpt_sha256"],
     }
 
 
@@ -113,6 +128,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     runs = {w: {label: [] for label in labels} for w in args.workloads}
+    traced = {w: {} for w in args.workloads}
     for workload in args.workloads:
         for i, seed in enumerate(args.seeds):
             for label in labels if i % 2 == 0 else labels[::-1]:
@@ -120,6 +136,10 @@ def main(argv=None) -> int:
                 runs[workload][label].append(result)
                 shown = " ".join(f"{k}={v:.4g}" for k, v in result["metrics"].items())
                 print(f"{workload} seed={seed} {label}: failed={result['failed']} {shown}", flush=True)
+        for label in labels:
+            traced[workload][label] = run_once(roots[label], workload, args.seeds[0], args.seconds, trace=True)
+            print(f"{workload} seed={args.seeds[0]} {label} traced: failed={traced[workload][label]['failed']}",
+                  flush=True)
 
     checkouts = {}
     for label in labels:
@@ -137,6 +157,7 @@ def main(argv=None) -> int:
                 "failed": sum(r["failed"] for r in results),
                 "nonzero_exits": sum(r["exit"] != 0 for r in results),
                 "ckpt_sha256": {str(r["seed"]): r["ckpt_sha256"] for r in results},
+                "traced": _traced_entry(traced[workload][label]),
             }
         entry["ckpt_sha256_equal"] = all(
             entry[label]["ckpt_sha256"] == entry[labels[0]]["ckpt_sha256"] for label in labels)
@@ -147,6 +168,7 @@ def main(argv=None) -> int:
 
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
+        "traced_command": "python3 perfbench/run.py --workload W --seed S0 --seconds T --trace 1",
         "seconds": args.seconds,
         "seeds": args.seeds,
         "order": "checkouts alternate first and last from one seed to the next",
