@@ -368,10 +368,10 @@ def run_stage(
     scale (the sweep's grid); invert uses ``invert_lam`` when it is set.
 
     The config (with the coupling its mode trains with), prior, classifier,
-    target and source are resolved before the stage directory is touched; the one classifier is both the
-    classifier energy and the stage's judge. ``ckpt.bin`` marks a finished
-    stage, so a stale one is removed before training and the new one is
-    written last, atomically.
+    target and source are resolved before the stage directory is touched;
+    the one classifier is both the classifier energy and the stage's judge.
+    ``ckpt.bin`` marks a finished stage, so a stale one is removed before
+    training and the new one is written last, atomically.
     """
     stage = STAGES[pipeline]
     flow.train_coupling(stage.mode, spec.train.coupling)

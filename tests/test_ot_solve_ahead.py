@@ -124,7 +124,7 @@ def test_a_failing_step_leaves_no_job_behind(pool, monkeypatch):
     solve = flow._ot_job
 
     def slow_solve(x0, x1):
-        time.sleep(0.02)
+        time.sleep(0.1)
         return solve(x0, x1)
 
     step = Adam.step

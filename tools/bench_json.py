@@ -12,14 +12,15 @@ seed, every checkout runs
 once, from its own directory, one run at a time. The order of the checkouts
 is reversed from one seed to the next, so the runs of one seed form an
 alternating pair. After the pairs of a workload, every checkout also runs it
-once with ``--trace 1`` at the first seed, for the per-layer metrics. The file holds, per workload and checkout, the median and
-quartiles of every end-to-end metric over the seeds, the per-seed values,
-the checkpoint hashes per seed (and whether they agree across checkouts)
-and the failed operations, and beside them the traced run's per-layer
-metrics, hashes and failed operations. For each metric it also
-counts the seeds on which the last checkout beat the first, in the
-direction ``BENCHMARK.json`` gives. Each checkout keeps perfbench's
-``environment`` block and its git commit.
+once with ``--trace 1`` at the first seed, for the per-layer metrics. The
+file holds, per workload and checkout, the median and quartiles of every
+end-to-end metric over the seeds, the per-seed values, the checkpoint hashes
+per seed (and whether they agree across checkouts) and the failed
+operations, and beside them the traced run's per-layer metrics, hashes and
+failed operations. For each end-to-end metric it also counts the seeds on
+which the last checkout beat the first, in the direction ``BENCHMARK.json``
+gives. Each checkout keeps perfbench's ``environment`` block and its git
+commit.
 
 Uses the standard library only.
 """
