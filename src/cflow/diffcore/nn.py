@@ -11,6 +11,13 @@ as the checkpoint stores them: per layer, W (fan_in x fan_out, row-major)
 then b. ``layers`` holds (W, b) views into it, and ``grad`` is a vector of
 the same layout that ``backward`` fills.
 
+A training step is one pass: a loss function (``row_sq_error_mean``,
+``bce_with_logits``) runs ``forward``, computes the value and what its
+gradient needs once, and returns a ``Tensor`` whose ``backward()`` calls
+``backward``. Both write their activations and hidden gradients into
+buffers the network keeps for its last batch size, so a step allocates no
+activation arrays; ``backward`` takes only the cache of the last ``forward``.
+
 ``forward_raw``, the inference pass every sampler, integrator and scorer
 goes through, uses the CPUs this process may run on. From two blocks of
 ``BLOCK_ROWS`` rows up, each thread of a persistent pool takes one
@@ -53,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _check_finite
+from .tensor import AutodiffError, ShapeError, Tensor, _check_finite
 
 __all__ = [
     "Mlp",
@@ -162,19 +169,20 @@ def num_parameters(widths: list[int]) -> int:
 
 
 def row_sq_error_mean(
-    pred: Tensor,
+    model: "Mlp",
+    x: np.ndarray,
     target: np.ndarray,
     weights: np.ndarray | None = None,
     normalized: bool = True,
 ) -> Tensor:
-    """Mean of per-row squared L2 errors ||pred_i - target_i||^2.
+    """Mean of per-row squared L2 errors ||model(x)_i - target_i||^2.
 
     With ``weights`` the rows are combined as sum(w * e) / sum(w) when
     ``normalized`` (the batch form used in training) or mean(w * e)
-    otherwise.
+    otherwise; ``backward()`` hands 2 * coef * residual to ``model.backward``.
     """
-    t = np.asarray(target, dtype=np.float64)
-    residual = pred.data - t
+    out, cache = model.forward(x)
+    residual = out - np.asarray(target, dtype=np.float64)
     errors = (residual * residual).sum(axis=1)
     n = errors.shape[0]
     if weights is None:
@@ -189,24 +197,24 @@ def row_sq_error_mean(
         else:
             value = (w * errors).mean()
             coef = w / n
-    return Tensor(value, pred, lambda grad: grad * 2.0 * coef[:, None] * residual)
+    return Tensor(value, lambda: model.backward(cache, 2.0 * coef[:, None] * residual))
 
 
-def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy on raw logits, numerically stable.
+def bce_with_logits(model: "Mlp", x: np.ndarray, targets: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of the logits ``model(x)``, numerically stable.
 
-    The forward uses mean(softplus(z) - y*z); the gradient is the closed
-    form (sigmoid(z) - y) / n.
+    The value is mean(softplus(z) - y*z); ``backward()`` hands the closed
+    form (sigmoid(z) - y) / n to ``model.backward``.
     """
-    y = np.asarray(targets, dtype=np.float64).reshape(logits.shape)
-    z = logits.data
+    z, cache = model.forward(x)
+    y = np.asarray(targets, dtype=np.float64).reshape(z.shape)
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
-    def backward(grad):
+    def backward():
         sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-        return grad * (sig - y) / z.size
+        model.backward(cache, (sig - y) / z.size)
 
-    return Tensor((softplus - y * z).mean(), logits, backward)
+    return Tensor((softplus - y * z).mean(), backward)
 
 
 class Mlp:
@@ -231,6 +239,8 @@ class Mlp:
         self.grad_fresh = False  # set by backward(), consumed by an optimizer step
         self.layers = _layer_views(self.theta, widths)
         self._grad_layers = _layer_views(self.grad, widths)
+        self._work = None  # (rows, layer outputs, input gradients) of the training pass
+        self._live_cache = None  # the last forward's cache until its backward
         if theta is None:
             rng = np.random.default_rng(seed)
             for w, b in self.layers:
@@ -256,14 +266,19 @@ class Mlp:
         """Training forward pass on (n, in_dim) inputs.
 
         Returns the output and the cache ``backward`` needs: the input of
-        every layer. Each layer's affine output is checked for NaN/Inf.
+        every layer. Each layer's affine output is checked for NaN/Inf. Both
+        live in the network's buffers until its next ``forward``.
         """
         h = self._checked_input(x)
-        cache = []
+        if self._work is None or self._work[0] != h.shape[0]:
+            self._work = (h.shape[0], [np.empty((h.shape[0], n)) for n in self.widths[1:]],
+                          [np.empty((h.shape[0], n)) for n in self.widths[1:-1]])
+        outs = self._work[1]
+        self._live_cache = cache = []
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
             cache.append(h)
-            h = h @ w
+            h = np.matmul(h, w, out=outs[i])
             h += b
             _check_finite(h, "affine")
             if i != last:
@@ -273,27 +288,29 @@ class Mlp:
     def backward(self, cache: list[np.ndarray], dout: np.ndarray) -> None:
         """Write d(loss)/d(theta) into ``grad`` given d(loss)/d(output).
 
-        Overwrites ``grad`` and marks it fresh for the next optimizer step;
-        the gradient with respect to the network input is never formed.
+        ``cache`` must come from the last ``forward``; its activations are
+        overwritten. Overwrites ``grad`` and marks it fresh for the next
+        optimizer step; the gradient with respect to the network input is
+        never formed.
         """
+        if cache is not self._live_cache:
+            raise AutodiffError("backward() needs the cache of the network's last forward pass")
+        self._live_cache = None
+        grads = self._work[2]
         g = dout
         for i in range(len(self.layers) - 1, -1, -1):
             h = cache[i]
             gw, gb = self._grad_layers[i]
             np.matmul(h.T, g, out=gw)
-            np.sum(g, axis=0, out=gb)
+            np.add.reduce(g, axis=0, out=gb)
             if i:
-                dtanh = h * h
+                # the last read of this activation: 1 - h * h takes its place
+                dtanh = np.multiply(h, h, out=h)
                 np.subtract(1.0, dtanh, out=dtanh)
-                g = g @ self.layers[i][0].T
+                g = np.matmul(g, self.layers[i][0].T, out=grads[i - 1])
                 g *= dtanh
         _check_finite(self.grad, "gradient")
         self.grad_fresh = True
-
-    def __call__(self, x) -> Tensor:
-        """Differentiable forward pass: the output as a loss's parent node."""
-        out, cache = self.forward(x)
-        return Tensor(out, None, lambda grad: self.backward(cache, grad))
 
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Inference forward pass: same op order as ``forward``, no cache.

@@ -13,8 +13,7 @@ Variants: smooth analytic region energies for the 2D benchmarks (a scaled
 tanh of the geometric margin, bounded so extreme lam values stay
 well-conditioned), classifier-derived energies (the logit score of a
 trained retain/forget classifier, read from a checkpoint by
-``load_classifier``), pointwise negation (``InvertedEnergy``), constants,
-and arbitrary callables for composition and testing.
+``load_classifier``) and pointwise negation (``InvertedEnergy``).
 
 Sign note: the weight uses the convention that F is HIGH on forget
 regions, so a classifier confident in "forget" (C near 1) drives the
@@ -39,8 +38,6 @@ __all__ = [
     "RegionEnergy",
     "ClassifierEnergy",
     "InvertedEnergy",
-    "ConstantEnergy",
-    "CallableEnergy",
     "BinaryClassifier",
     "ClassifierConfig",
     "sigmoid",
@@ -134,28 +131,6 @@ class InvertedEnergy(EnergySpec):
         return -self.inner.evaluate(x)
 
 
-class ConstantEnergy(EnergySpec):
-    """F(x) == value everywhere; makes ERFM degenerate to plain CFM."""
-
-    def __init__(self, value: float, lam: float = 1.0):
-        super().__init__(lam)
-        self.value = float(value)
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.full(self._points(x).shape[0], self.value)
-
-
-class CallableEnergy(EnergySpec):
-    """Wrap an arbitrary per-row function as an energy."""
-
-    def __init__(self, fn, lam: float):
-        super().__init__(lam)
-        self.fn = fn
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(self._points(x)), dtype=np.float64)
-
-
 # -- binary classifier ------------------------------------------------------
 
 
@@ -219,8 +194,7 @@ def train_classifier(
     n_train = x_train.shape[0]
     for _ in range(cfg.steps):
         idx = rng.integers(0, n_train, size=cfg.batch)
-        loss = bce_with_logits(net(x_train[idx]), y_train[idx])
-        loss.backward()
+        bce_with_logits(net, x_train[idx], y_train[idx]).backward()
         opt.step()
 
     clf = BinaryClassifier(net=net)

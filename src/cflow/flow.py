@@ -14,6 +14,11 @@ Two objectives are provided:
   loop; ``normalized=False`` gives the plain weighted mean used by the
   gradient-equivalence check).
 
+Either one writes the field's input rows (the conditional sample, then t)
+into one new (B, d + 1) array; ``diffcore.row_sq_error_mean`` runs the
+field on them and returns a one-node loss handle whose ``backward()``
+fills the field's gradient.
+
 Pairs come from a ``Coupling``: either independent draws or an exact
 minibatch optimal-transport assignment minimizing total squared distance.
 A mode's coupling is fixed by ``train_coupling``: unlearn-erfm pairs
@@ -62,9 +67,9 @@ leaves ``train``; a job's own error reaches the caller with its type.
 Sampling integrates the learned ODE with forward Euler over t in [0, 1].
 ``integrate`` is the only Euler loop: ``FlowModel.push`` runs it once per
 chain stage, and ``trajectory`` takes its snapshots through the per-step
-``on_step`` callback. A model trained on top of another model's outputs
-keeps that parent in its chain, so generation always starts from the
-standard Gaussian root.
+``on_step`` callback; both refill one field input buffer at every step.
+A model trained on top of another model's outputs keeps that parent in its
+chain, so generation always starts from the standard Gaussian root.
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .config import ConfigError, check, knob
 from .datasets import EmpiricalSampler, GaussianSampler, LabeledDataset
-from .diffcore import Adam, Mlp, Sgd, Tensor, inference_pool, velocity_mlp
+from .diffcore import (Adam, Mlp, Sgd, ShapeError, Tensor, inference_pool, row_sq_error_mean,
+                       velocity_mlp)
 from .diffcore.checkpoint import (
     CheckpointError,
     mlp_from_buffer,
@@ -90,7 +96,6 @@ from .diffcore.checkpoint import (
     read_text,
     read_u32,
 )
-from .diffcore.nn import row_sq_error_mean
 from .energy import EnergySpec
 from .metrics import MAX_ROWS
 
@@ -147,7 +152,8 @@ def interpolate(x0, x1, t):
     """psi_t(x0, x1) = (1 - t) x0 + t x1 for t in [0, 1]."""
     a, b = _pair_arrays(x0, x1)
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    # NaN fails both comparisons, so this also rejects a non-finite t
+    if t.size and not (t.min() >= 0.0 and t.max() <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     if t.ndim == 1 and a.ndim == 2:
         t = t[:, None]
@@ -256,18 +262,18 @@ def _ot_steps(q0, data_sampler: EmpiricalSampler, batch: int, steps: int):
 # -- losses -------------------------------------------------------------------
 
 
-def _field_prediction(
-    model: Mlp,
-    coupling: Coupling,
-    t: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator | None,
-) -> tuple[Tensor, np.ndarray]:
-    """Field evaluated on the conditional sample, plus the target velocity."""
-    if len(coupling) == 0:
+def _field_input(model: Mlp, coupling: Coupling, t, sigma: float, rng) -> np.ndarray:
+    """The field's input rows for the batch: the conditional sample at
+    ``t`` in the first d columns of one new (B, d + 1) array, ``t`` in the last."""
+    n, d = coupling.x0.shape
+    if n == 0:
         raise ValueError("empty batch")
-    xt = conditional_sample(coupling.x0, coupling.x1, t, sigma, rng)
-    return model(model.velocity_input(t, xt)), target_velocity(coupling.x0, coupling.x1)
+    if d != model.in_dim - 1:
+        raise ShapeError(f"expected points (n, {model.in_dim - 1}), got {coupling.x0.shape}")
+    x = np.empty((n, d + 1))
+    x[:, :d] = conditional_sample(coupling.x0, coupling.x1, t, sigma, rng)
+    x[:, d] = t
+    return x
 
 
 def cfm_loss(
@@ -277,9 +283,9 @@ def cfm_loss(
     sigma: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Mean squared flow-matching error over the batch (scalar tensor)."""
-    v, delta = _field_prediction(model, coupling, t, sigma, rng)
-    return row_sq_error_mean(v, delta)
+    """Mean squared flow-matching error over the batch (a loss handle)."""
+    x = _field_input(model, coupling, t, sigma, rng)
+    return row_sq_error_mean(model, x, target_velocity(coupling.x0, coupling.x1))
 
 
 def erfm_loss(
@@ -308,12 +314,13 @@ def erfm_loss(
             f"batch weight sum {w.sum():.3e} below {SUPPRESSED_WEIGHT_SUM:.0e}; "
             "resample the batch"
         )
-    v, delta = _field_prediction(model, coupling, t, sigma, rng)
+    x = _field_input(model, coupling, t, sigma, rng)
+    delta = target_velocity(coupling.x0, coupling.x1)
     if normalized and w.max() == w.min():
         # constant energy: the weights cancel, so this is bit-identical to
         # the plain CFM mean on the same batch
-        return row_sq_error_mean(v, delta)
-    return row_sq_error_mean(v, delta, weights=w, normalized=normalized)
+        return row_sq_error_mean(model, x, delta)
+    return row_sq_error_mean(model, x, delta, weights=w, normalized=normalized)
 
 
 def weight_stats(w: np.ndarray) -> tuple[float, float]:
@@ -395,12 +402,28 @@ class FlowModel:
         """This model's own field, evaluated by the inference forward pass."""
         return self.field.velocity(t, x)
 
+    def _field_fn(self, x: np.ndarray):
+        """This model's own field as ``integrate``'s callback from the points
+        ``x`` (n, d) on. Each call refills one (n, d + 1) input buffer, which
+        ``forward_raw`` never writes and is done with when it returns."""
+        if np.ndim(x) != 2 or np.shape(x)[1] != self.dim:
+            raise ShapeError(f"expected points (n, {self.dim}), got {np.shape(x)}")
+        d = self.dim
+        rows = np.empty((len(x), d + 1))
+
+        def field(t, y):
+            rows[:, :d] = y
+            rows[:, d] = t
+            return self.field.forward_raw(rows)
+
+        return field
+
     def push(self, x: np.ndarray, n_steps: int | None = None) -> np.ndarray:
         """Transport points through the whole chain ending at this field."""
         if self.parent is not None:
             x = self.parent.push(x, n_steps=n_steps)
         steps = self.n_steps if n_steps is None else n_steps
-        return integrate(lambda t, y: self.velocity(t, y), x, steps)
+        return integrate(self._field_fn(x), x, steps)
 
     def base_states(self, n: int, seed=0, n_steps: int | None = None) -> np.ndarray:
         """Inputs to this model's own stage: Gaussian root run through parents."""
@@ -596,7 +619,7 @@ def trajectory(
             # k * dt, not k / n_steps: the two differ in the last bit
             snaps.append((k * dt, x))
 
-    integrate(model.velocity, x0, n_steps, on_step=snapshot)
+    integrate(model._field_fn(x0), x0, n_steps, on_step=snapshot)
     return snaps
 
 

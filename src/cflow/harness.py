@@ -453,7 +453,6 @@ def run(spec: ExperimentSpec) -> RunArtifact | list[RunArtifact]:
     ``sweep-lambda`` runs the unlearn stage once per ``lambda_grid`` value
     into ``sweep/lam_<lam>`` and writes all their rows to ``sweep/report.csv``.
     """
-    Path(spec.out).mkdir(parents=True, exist_ok=True)
     if spec.pipeline != "sweep-lambda":
         return run_stage(spec, spec.pipeline)
     sweep = Path(spec.out) / "sweep"

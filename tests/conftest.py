@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference and MMD oracles, gradient flattening.
+"""Shared test helpers: finite-difference and MMD oracles, gradient flattening,
+and two energies that only tests use.
 
 The suite runs numpy's BLAS on one thread, as the ``cflow`` command does.
 Results are bit-identical at any thread count, but two test processes on a
@@ -14,8 +15,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ[_var] = "1"
 
+from types import SimpleNamespace  # noqa: E402
+
 import numpy as np  # noqa: E402
 
+from cflow import energy as _energy  # noqa: E402
 from cflow.diffcore import blas_threads  # noqa: E402
 from cflow.metrics import KernelConfig  # noqa: E402
 
@@ -59,3 +63,31 @@ def flatten_grads(model) -> np.ndarray:
     """Copy of the model's flat gradient, which is then marked consumed."""
     model.grad_fresh = False
     return model.grad.copy()
+
+
+class ConstantEnergy(_energy.EnergySpec):
+    """F(x) == value everywhere; makes ERFM degenerate to plain CFM."""
+
+    def __init__(self, value: float, lam: float = 1.0):
+        super().__init__(lam)
+        self.value = float(value)
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return np.full(self._points(x).shape[0], self.value)
+
+
+class CallableEnergy(_energy.EnergySpec):
+    """Wrap an arbitrary per-row function as an energy."""
+
+    def __init__(self, fn, lam: float):
+        super().__init__(lam)
+        self.fn = fn
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(self._points(x)), dtype=np.float64)
+
+
+# ``cflow.energy``'s public names and the two energies above under one name,
+# for the pinned cases that reach every energy as ``en.<name>``
+energy = SimpleNamespace(**{name: getattr(_energy, name) for name in _energy.__all__},
+                         ConstantEnergy=ConstantEnergy, CallableEnergy=CallableEnergy)

@@ -72,10 +72,26 @@ def test_writes_pairs_in_alternating_order(tmp_path):
     assert (tmp_path / "calls.txt").read_text().split("\n") == [
         "1 parent", "1 change", "2 change", "2 parent",
         "3 parent", "3 change", "4 change", "4 parent",
-        "1 parent traced", "1 change traced", ""]
-    # one traced run per checkout at the first seed, kept beside the pairs
-    assert entry["change"]["traced"] == {
-        "seed": 1, "metrics": {"flow.ot_coupling_s": {"unit": "s/op", "value": 0.051}},
-        "attempted": 3, "failed": 0, "nonzero_exits": 0, "ckpt_sha256": ["sha1"]}
-    assert entry["parent"]["traced"]["metrics"]["flow.ot_coupling_s"]["value"] == 0.101
+        "1 parent traced", "1 change traced", "2 change traced", "2 parent traced",
+        "3 parent traced", "3 change traced", ""]
+    assert doc["traced_seeds"] == [1, 2, 3]
+    # the traced pairs are summarised like the untraced ones, beside them
+    traced = entry["change"]["traced"]
+    assert traced["metrics"] == {"flow.ot_coupling_s": {
+        "unit": "s/op", "median": 0.052, "q1": 0.0515, "q3": 0.0525, "values": [0.051, 0.052, 0.053]}}
+    assert (traced["attempted"], traced["failed"], traced["nonzero_exits"]) == (9, 0, 0)
+    assert traced["ckpt_sha256"] == {"1": ["sha1"], "2": ["sha2"], "3": ["sha3"]}
+    assert entry["parent"]["traced"]["metrics"]["flow.ot_coupling_s"]["median"] == 0.102
     assert "flow.ot_coupling_s" not in entry["parent"]["metrics"]
+
+
+def test_traced_pairs_use_the_seeds_there_are(tmp_path):
+    parent = _checkout(tmp_path / "parent", speed=100.0)
+    change = _checkout(tmp_path / "change", speed=50.0)
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main(["--out", str(out), "--seeds", "7", "--workloads", "unlearn",
+                            "--checkout", f"parent={parent}", "--checkout", f"change={change}"]) == 0
+    assert (tmp_path / "calls.txt").read_text().split("\n") == [
+        "7 parent", "7 change", "7 parent traced", "7 change traced", ""]
+    traced = json.loads(out.read_text())["workloads"]["unlearn"]["change"]["traced"]
+    assert traced["metrics"]["flow.ot_coupling_s"]["median"] == 0.057

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import ConstantEnergy
 
 from cflow import datasets as ds
 from cflow import energy as en
@@ -21,22 +22,22 @@ def circles_classifier(circles_data):
 
 class TestWeight:
     def test_zero_energy_gives_half(self):
-        F = en.ConstantEnergy(0.0, lam=7.0)
+        F = ConstantEnergy(0.0, lam=7.0)
         np.testing.assert_allclose(F.weight(np.zeros((4, 2))), 0.5)
 
     def test_log3_energy_closed_form(self):
         # sigma(-ln 3) = 1 / (1 + 3) = 0.25
-        F = en.ConstantEnergy(np.log(3.0), lam=1.0)
+        F = ConstantEnergy(np.log(3.0), lam=1.0)
         np.testing.assert_allclose(F.weight(np.zeros((1, 2))), 0.25, rtol=1e-14)
 
     def test_hard_suppression_at_extreme_lam(self):
-        F = en.ConstantEnergy(0.1, lam=1000.0)
+        F = ConstantEnergy(0.1, lam=1000.0)
         w = F.weight(np.zeros((1, 2)))
         assert 0.0 < w[0] < 1e-8  # sigma(-100)
 
     def test_lam_must_be_positive(self):
         with pytest.raises(ValueError):
-            en.ConstantEnergy(1.0, lam=0.0)
+            ConstantEnergy(1.0, lam=0.0)
 
     @given(
         f=st.floats(-4.0, 4.0),
@@ -48,7 +49,7 @@ class TestWeight:
         # interval property is tested on the representable range
         if abs(lam * f) > 36.0:
             lam = 36.0 / max(abs(f), 1e-9)
-        w = en.ConstantEnergy(f, lam=lam).weight(np.zeros((1, 2)))[0]
+        w = ConstantEnergy(f, lam=lam).weight(np.zeros((1, 2)))[0]
         assert 0.0 < w < 1.0
 
     @given(f=st.floats(0.05, 4.0))
@@ -56,13 +57,13 @@ class TestWeight:
     def test_weight_monotone_in_lam(self, f):
         lams = [0.5, 1.0, 2.0, 5.0, 50.0]
         x = np.zeros((1, 2))
-        pos = [en.ConstantEnergy(f, lam=l).weight(x)[0] for l in lams]
+        pos = [ConstantEnergy(f, lam=l).weight(x)[0] for l in lams]
         assert all(a > b for a, b in zip(pos, pos[1:]))  # F>0: decreasing
-        neg = [en.ConstantEnergy(-f, lam=l).weight(x)[0] for l in lams]
+        neg = [ConstantEnergy(-f, lam=l).weight(x)[0] for l in lams]
         assert all(a < b for a, b in zip(neg, neg[1:]))  # F<0: increasing
 
     def test_constant_energy_gives_equal_weights(self):
-        F = en.ConstantEnergy(1.3, lam=2.0)
+        F = ConstantEnergy(1.3, lam=2.0)
         w = F.weight(np.random.default_rng(0).normal(size=(50, 2)))
         assert w.max() == w.min()
 
@@ -109,7 +110,7 @@ class TestInversion:
         np.testing.assert_array_equal(en.InvertedEnergy(en.InvertedEnergy(F)).evaluate(x), F.evaluate(x))
 
     def test_weights_flip_exactly(self):
-        F = en.ConstantEnergy(np.log(3.0), lam=1.0)  # weight 0.25
+        F = ConstantEnergy(np.log(3.0), lam=1.0)  # weight 0.25
         G = en.InvertedEnergy(F)
         x = np.zeros((3, 2))
         np.testing.assert_allclose(G.weight(x), 0.75, rtol=1e-14)

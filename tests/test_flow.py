@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import CallableEnergy, ConstantEnergy
 
 from cflow import datasets as ds
 from cflow import energy as en
@@ -121,7 +122,7 @@ class TestLosses:
         # w = sigma(0) = 0.5; error 1.0; normalized: 0.5 * 1 / 0.5 = 1.0
         model = constant_field_model([0.0, 0.0]).field
         coup = flow.independent_coupling(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
-        F = en.ConstantEnergy(0.0, lam=3.0)
+        F = ConstantEnergy(0.0, lam=3.0)
         loss = flow.erfm_loss(model, coup, np.array([0.4]), F.weight(coup.x1))
         assert loss.item() == pytest.approx(1.0)
 
@@ -131,7 +132,7 @@ class TestLosses:
         x0 = np.array([[0.0, 0.0], [0.0, 0.0]])
         x1 = np.array([[1.0, 0.0], [2.0, 0.0]])  # errors 1 and 4
         coup = flow.independent_coupling(x0, x1)
-        F = en.CallableEnergy(lambda p: np.where(p[:, 0] > 1.5, np.log(3.0), 0.0), lam=1.0)
+        F = CallableEnergy(lambda p: np.where(p[:, 0] > 1.5, np.log(3.0), 0.0), lam=1.0)
         np.testing.assert_allclose(F.weight(x1), [0.5, 0.25], rtol=1e-14)
         loss = flow.erfm_loss(model, coup, np.array([0.0, 0.0]), F.weight(coup.x1))
         assert loss.item() == pytest.approx(2.0, rel=1e-12)
@@ -141,14 +142,14 @@ class TestLosses:
         model = velocity_mlp(seed=7)
         coup = flow.independent_coupling(rng.normal(size=(32, 2)), rng.normal(size=(32, 2)))
         t = rng.uniform(size=32)
-        F = en.ConstantEnergy(1.234, lam=2.0)
+        F = ConstantEnergy(1.234, lam=2.0)
         loss = flow.erfm_loss(model, coup, t, F.weight(coup.x1))
         assert loss.item() == flow.cfm_loss(model, coup, t).item()
 
     def test_erfm_fully_suppressed_batch_rejected(self):
         model = velocity_mlp(seed=0)
         coup = flow.independent_coupling(np.zeros((4, 2)), np.zeros((4, 2)))
-        F = en.ConstantEnergy(4.9, lam=1000.0)  # weights ~ sigma(-4900) = 0
+        F = ConstantEnergy(4.9, lam=1000.0)  # weights ~ sigma(-4900) = 0
         with pytest.raises(flow.FullySuppressedBatchError):
             flow.erfm_loss(model, coup, np.full(4, 0.5), F.weight(coup.x1))
 
@@ -164,7 +165,7 @@ class TestLosses:
         x0 = np.array([[0.0, 0.0], [0.0, 0.0]])
         x1 = np.array([[1.0, 0.0], [2.0, 0.0]])
         coup = flow.independent_coupling(x0, x1)
-        F = en.CallableEnergy(lambda p: np.where(p[:, 0] > 1.5, np.log(3.0), 0.0), lam=1.0)
+        F = CallableEnergy(lambda p: np.where(p[:, 0] > 1.5, np.log(3.0), 0.0), lam=1.0)
         w = F.weight(coup.x1)
         loss = flow.erfm_loss(model, coup, np.zeros(2), w, normalized=False)
         # mean(w * e) = (0.5*1 + 0.25*4) / 2
@@ -364,7 +365,7 @@ class TestTrainConfigValidation:
         q0 = ds.GaussianSampler(seed=0)
         cfg = flow.TrainConfig(steps=1, batch=8)
         with pytest.raises(TypeError):
-            flow.train(cfg, q0, en.ConstantEnergy(0.0), mode="learn")
+            flow.train(cfg, q0, ConstantEnergy(0.0), mode="learn")
         with pytest.raises(TypeError):
             flow.train(cfg, q0, data, mode="unlearn-erfm")
 
@@ -378,7 +379,7 @@ class TestTrainConfigValidation:
         q0 = ds.GaussianSampler(seed=0)
         cfg = flow.TrainConfig(steps=1, batch=8, coupling="ot")
         with pytest.raises(ValueError):
-            flow.train(cfg, q0, en.ConstantEnergy(0.0), mode="unlearn-erfm")
+            flow.train(cfg, q0, ConstantEnergy(0.0), mode="unlearn-erfm")
 
 
 class TestTraining:
@@ -417,7 +418,7 @@ class TestTraining:
 
     def test_unlearn_resamples_suppressed_batches(self):
         # all-forget region: most batches rejected, training still completes
-        F = en.CallableEnergy(lambda p: np.full(p.shape[0], 4.9), lam=10.0)
+        F = CallableEnergy(lambda p: np.full(p.shape[0], 4.9), lam=10.0)
         q0 = ds.GaussianSampler(seed=0)
         cfg = flow.TrainConfig(steps=2, batch=4)
         with pytest.raises(flow.FullySuppressedBatchError):
@@ -435,7 +436,7 @@ class PoolFreeSampler:
         return self._inner.sample(n)
 
 
-class CountingEnergy(en.CallableEnergy):
+class CountingEnergy(CallableEnergy):
     """Wraps another energy's field and counts the calls that reach it."""
 
     def __init__(self, inner):
@@ -498,7 +499,7 @@ class TestPoolWeights:
 
         def make_energy():
             lookup = {tuple(p): -4.9 if k else 4.9 for p, k in zip(points, keep)}
-            return en.CallableEnergy(lambda x: [lookup[tuple(p)] for p in x], lam=10.0)
+            return CallableEnergy(lambda x: [lookup[tuple(p)] for p in x], lam=10.0)
 
         (pooled, pool_calls), (plain, batch_calls) = self._train_both(
             points, make_energy, steps=20, batch=4

@@ -482,6 +482,18 @@ class TestCli:
             yaml.safe_dump(harness._plain(spec.to_dict()), fh)
         assert cli.main(["unlearn", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "command, train, code",
+        [("refit", {"coupling": "independent"}, 2), ("unlearn", {}, 3)],
+        ids=["config-error", "missing-stage"],
+    )
+    def test_a_refused_stage_leaves_no_run_directory(self, tmp_path, capsys, command, train, code):
+        good = tiny_config(tmp_path)
+        cfg = write_config(tmp_path / "exp.yaml", {**good, "train": {**good["train"], **train}})
+        assert cli.main([command, "--config", str(cfg)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_failed_stage_leaves_no_checkpoint(self, tmp_path, capsys, monkeypatch):
         # ckpt.bin marks a finished stage: a rerun that fails after training
         # must not leave the old checkpoint, or a new one, for invert to take

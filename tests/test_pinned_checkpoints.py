@@ -15,7 +15,7 @@ import hashlib
 import pytest
 
 from cflow import datasets as ds
-from cflow import energy as en
+from conftest import energy as en
 from cflow import flow
 from cflow.diffcore import mlp_to_bytes
 

@@ -11,13 +11,15 @@ seed, every checkout runs
 
 once, from its own directory, one run at a time. The order of the checkouts
 is reversed from one seed to the next, so the runs of one seed form an
-alternating pair. After the pairs of a workload, every checkout also runs it
-once with ``--trace 1`` at the first seed, for the per-layer metrics. The
-file holds, per workload and checkout, the median and quartiles of every
-end-to-end metric over the seeds, the per-seed values, the checkpoint hashes
-per seed (and whether they agree across checkouts) and the failed
-operations, and beside them the traced run's per-layer metrics, hashes and
-failed operations. For each end-to-end metric it also counts the seeds on
+alternating pair. After the pairs of a workload, the checkouts run it with
+``--trace 1`` for the per-layer metrics, as alternating pairs on the first
+``TRACED_SEEDS`` seeds (fewer when fewer are given): one traced run is too
+noisy to compare layers by. The file holds, per workload and checkout, the
+median and quartiles of every end-to-end metric over the seeds, the
+per-seed values, the checkpoint hashes per seed (and whether they agree
+across checkouts) and the failed operations, and beside them the same
+summary of every per-layer metric over the traced runs, with their hashes
+and failed operations. For each end-to-end metric it also counts the seeds on
 which the last checkout beat the first, in the direction ``BENCHMARK.json``
 gives. Each checkout keeps perfbench's ``environment`` block and its git
 commit.
@@ -33,6 +35,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+TRACED_SEEDS = 3  # alternating traced pairs per workload
 
 
 def _seeds(text: str) -> list[int]:
@@ -82,23 +86,31 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool =
     }
 
 
-def _traced_entry(result: dict) -> dict:
-    """A traced run as the BENCH file keeps it: one value per per-layer metric."""
-    return {
-        "seed": result["seed"],
-        "metrics": {name: {"unit": result["units"][name], "value": value}
-                    for name, value in result["metrics"].items()},
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "nonzero_exits": int(result["exit"] != 0),
-        "ckpt_sha256": result["ckpt_sha256"],
-    }
-
-
 def summary(values: list[float]) -> dict:
     """Median and quartiles (inclusive method) of the per-seed values."""
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
+
+
+def _entry(results: list[dict]) -> dict:
+    """The runs of one checkout on one workload as the BENCH file keeps them:
+    a summary of every metric over the seeds, with counts and hashes."""
+    units = results[0]["units"]
+    return {
+        "metrics": {name: {"unit": units[name], **summary([r["metrics"][name] for r in results])}
+                    for name in units},
+        "attempted": sum(r["attempted"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "nonzero_exits": sum(r["exit"] != 0 for r in results),
+        "ckpt_sha256": {str(r["seed"]): r["ckpt_sha256"] for r in results},
+    }
+
+
+def _pairs(seeds: list[int], labels: list[str]):
+    """``(seed, label)`` in run order: the checkouts alternate first and last."""
+    for i, seed in enumerate(seeds):
+        for label in labels if i % 2 == 0 else labels[::-1]:
+            yield seed, label
 
 
 def wins(first: list[dict], last: list[dict], better: dict[str, str]) -> dict[str, str]:
@@ -128,19 +140,19 @@ def main(argv=None) -> int:
     spec = json.loads((roots[labels[0]] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
+    traced_seeds = args.seeds[:TRACED_SEEDS]
     runs = {w: {label: [] for label in labels} for w in args.workloads}
-    traced = {w: {} for w in args.workloads}
+    traced = {w: {label: [] for label in labels} for w in args.workloads}
     for workload in args.workloads:
-        for i, seed in enumerate(args.seeds):
-            for label in labels if i % 2 == 0 else labels[::-1]:
-                result = run_once(roots[label], workload, seed, args.seconds)
-                runs[workload][label].append(result)
-                shown = " ".join(f"{k}={v:.4g}" for k, v in result["metrics"].items())
-                print(f"{workload} seed={seed} {label}: failed={result['failed']} {shown}", flush=True)
-        for label in labels:
-            traced[workload][label] = run_once(roots[label], workload, args.seeds[0], args.seconds, trace=True)
-            print(f"{workload} seed={args.seeds[0]} {label} traced: failed={traced[workload][label]['failed']}",
-                  flush=True)
+        for seed, label in _pairs(args.seeds, labels):
+            result = run_once(roots[label], workload, seed, args.seconds)
+            runs[workload][label].append(result)
+            shown = " ".join(f"{k}={v:.4g}" for k, v in result["metrics"].items())
+            print(f"{workload} seed={seed} {label}: failed={result['failed']} {shown}", flush=True)
+        for seed, label in _pairs(traced_seeds, labels):
+            result = run_once(roots[label], workload, seed, args.seconds, trace=True)
+            traced[workload][label].append(result)
+            print(f"{workload} seed={seed} {label} traced: failed={result['failed']}", flush=True)
 
     checkouts = {}
     for label in labels:
@@ -150,16 +162,7 @@ def main(argv=None) -> int:
     for workload, by_label in runs.items():
         entry = {}
         for label, results in by_label.items():
-            units = results[0]["units"]
-            entry[label] = {
-                "metrics": {name: {"unit": units[name], **summary([r["metrics"][name] for r in results])}
-                            for name in units},
-                "attempted": sum(r["attempted"] for r in results),
-                "failed": sum(r["failed"] for r in results),
-                "nonzero_exits": sum(r["exit"] != 0 for r in results),
-                "ckpt_sha256": {str(r["seed"]): r["ckpt_sha256"] for r in results},
-                "traced": _traced_entry(traced[workload][label]),
-            }
+            entry[label] = {**_entry(results), "traced": _entry(traced[workload][label])}
         entry["ckpt_sha256_equal"] = all(
             entry[label]["ckpt_sha256"] == entry[labels[0]]["ckpt_sha256"] for label in labels)
         if len(labels) > 1:
@@ -169,10 +172,11 @@ def main(argv=None) -> int:
 
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
-        "traced_command": "python3 perfbench/run.py --workload W --seed S0 --seconds T --trace 1",
+        "traced_command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 1",
         "seconds": args.seconds,
         "seeds": args.seeds,
-        "order": "checkouts alternate first and last from one seed to the next",
+        "traced_seeds": traced_seeds,
+        "order": "checkouts alternate first and last from one seed to the next, traced runs too",
         "checkouts": checkouts,
         "workloads": workloads,
     }
