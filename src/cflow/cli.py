@@ -38,7 +38,8 @@ from .diffcore import AutodiffError, CheckpointError
 
 def _cmd_datasets(args) -> int:
     me.check_count("--n", args.n, me.MAX_ROWS)
-    data = ds.generate(args.name, args.n, args.seed if args.seed is not None else 0)
+    me.check_count("--seed", args.seed, low=0)
+    data = ds.generate(args.name, args.n, args.seed)
     ds.export_csv(data, args.out)
     print(f"wrote {len(data)} points to {args.out}")
     return 0
@@ -57,8 +58,9 @@ def _run_pipeline(args, pipeline: str) -> int:
 def _cmd_sample(args) -> int:
     me.check_count("--n", args.n, me.MAX_ROWS)
     me.check_count("--steps", args.steps)
+    me.check_count("--seed", args.seed, low=0)
     model = flow.load_model(args.ckpt)
-    pts = model.sample(args.n, n_steps=args.steps, seed=args.seed if args.seed is not None else 0)
+    pts = model.sample(args.n, n_steps=args.steps, seed=args.seed)
     ds.write_csv(args.out, ["x", "y"], pts)
     print(f"wrote {len(pts)} samples to {args.out}")
     return 0
@@ -68,9 +70,9 @@ def _cmd_traj(args) -> int:
     me.check_count("--n", args.n, me.MAX_ROWS)
     me.check_count("--steps", args.steps)
     me.check_count("--snapshots", args.snapshots, args.steps + 1, low=2)
+    me.check_count("--seed", args.seed, low=0)
     model = flow.load_model(args.ckpt)
-    seed = args.seed if args.seed is not None else 0
-    x0 = model.base_states(args.n, seed=seed, n_steps=args.steps)
+    x0 = model.base_states(args.n, seed=args.seed, n_steps=args.steps)
     snaps = flow.trajectory(model, x0, args.steps, args.snapshots)
     harness.write_traj_csv(args.out, snaps)
     print(f"wrote {len(snaps)} snapshots to {args.out}")
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--snapshots", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_traj)
 

@@ -1,4 +1,4 @@
-"""Minimal float64 numerics: MLP with explicit backward, its two losses, optimizers, checkpoints.
+"""Minimal float64 numerics: MLP with explicit backward, losses, sigmoid, optimizers, checkpoints.
 
 Importing this package (so importing ``cflow``) sets numpy's bundled
 OpenBLAS to ``blas.BLAS_THREADS`` (one) thread, for the command line and a
@@ -8,7 +8,7 @@ library caller alike; see ``blas``.
 from .blas import blas_threads, set_blas_threads
 from .checkpoint import CheckpointError, load_mlp, mlp_from_buffer, mlp_to_bytes, save_mlp
 from .nn import (DEFAULT_HIDDEN, Mlp, bce_with_logits, inference_pool, inference_threads,
-                 row_sq_error_mean, velocity_mlp)
+                 row_sq_error_mean, sigmoid, velocity_mlp)
 from .optim import Adam, Sgd, StaleGradientError
 from .tensor import AutodiffError, NonFiniteError, ShapeError, Tensor
 
@@ -21,6 +21,7 @@ __all__ = [
     "velocity_mlp",
     "bce_with_logits",
     "row_sq_error_mean",
+    "sigmoid",
     "DEFAULT_HIDDEN",
     "Sgd",
     "Adam",

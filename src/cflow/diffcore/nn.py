@@ -19,15 +19,16 @@ buffers the network keeps for its last batch size, so a step allocates no
 activation arrays; ``backward`` takes only the cache of the last ``forward``.
 
 ``forward_raw``, the inference pass every sampler, integrator and scorer
-goes through, uses the CPUs this process may run on. From two blocks of
-``BLOCK_ROWS`` rows up, each thread of a persistent pool takes one
-contiguous run of whole blocks (the last run also takes the remainder)
-and carries it through the hidden layers block by block; the calling
-thread then applies the output layer to all rows in one matmul. numpy
-releases the GIL inside matmul and ``tanh``, so the blocks run in
-parallel. The result is bit-identical to the serial pass, because of two
-rules, measured with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on one
-BLAS thread on an AVX-512 Xeon:
+goes through, has one hidden-layer loop, ``_hidden_rows``, which carries
+a contiguous run of rows through the hidden layers block by block; one
+matmul over all rows then applies the output layer. Below two blocks of
+``BLOCK_ROWS`` rows the calling thread runs it once, over all rows as one
+block. From two blocks up it uses the CPUs this process may run on: each
+thread of a persistent pool takes one run of whole blocks (the last run
+also takes the remainder). numpy releases the GIL inside matmul and
+``tanh``, so the runs go in parallel. The result is bit-identical to one
+run over all rows, because of two rules, measured with numpy 2.4.6 and
+its bundled OpenBLAS 0.3.31 on one BLAS thread on an AVX-512 Xeon:
 
 * A hidden layer gives every row the same bits whichever row range it is
   computed in, as long as the range has more than one row: ranges cut at
@@ -40,10 +41,9 @@ BLAS thread on an AVX-512 Xeon:
 * The 64->2 output layer does not: OpenBLAS picks another dgemm kernel as
   the batch grows, and cutting 12,288 rows into two halves changed 20,279
   of the 24,576 outputs (7,813 rows: 12,890 of 15,626). So it stays one
-  matmul over all rows, exactly as in the serial pass.
+  matmul over all rows at every row count.
 
-Below two blocks, or for a network without a hidden layer, ``forward_raw``
-runs the serial loop in the calling thread.
+A network without a hidden layer is that one matmul alone.
 
 ``inference_pool`` is the process's one worker pool. Besides these row
 blocks it runs ``flow.train``'s minibatch-OT solves ahead of the training
@@ -67,6 +67,7 @@ __all__ = [
     "velocity_mlp",
     "bce_with_logits",
     "row_sq_error_mean",
+    "sigmoid",
     "num_parameters",
     "inference_threads",
     "inference_pool",
@@ -122,15 +123,17 @@ if hasattr(os, "register_at_fork"):
 
 
 def _block_edges(lo: int, hi: int, parts: int) -> list[int]:
-    """Row edges that cut ``lo:hi`` into ``parts`` runs of whole blocks of
-    ``BLOCK_ROWS`` rows from ``lo``; the last run also takes the remainder."""
+    """Row edges that cut ``lo:hi`` into ``parts`` (at least one) runs of
+    whole blocks of ``BLOCK_ROWS`` rows from ``lo``; the last run also
+    takes the remainder, so fewer rows than a block make one run."""
     blocks = (hi - lo) // BLOCK_ROWS
+    parts = max(parts, 1)
     return [lo + BLOCK_ROWS * (blocks * k // parts) for k in range(parts)] + [hi]
 
 
 def _hidden_rows(layers, x: np.ndarray, hidden: np.ndarray, lo: int, hi: int) -> None:
     """Write the last hidden activation of rows ``lo:hi`` of ``x`` into the
-    same rows of ``hidden``, one block at a time, in the serial op order."""
+    same rows of ``hidden``, one block at a time."""
     *inner, (w_last, b_last) = layers
     edges = _block_edges(lo, hi, (hi - lo) // BLOCK_ROWS)
     for start, stop in zip(edges[:-1], edges[1:]):
@@ -145,11 +148,14 @@ def _hidden_rows(layers, x: np.ndarray, hidden: np.ndarray, lo: int, hi: int) ->
         np.tanh(out, out=out)
 
 
-def _pooled_hidden(layers, x: np.ndarray) -> np.ndarray:
-    """The last hidden activation of every row of ``x`` (at least two
-    blocks), each pool thread computing one run of blocks."""
+def _hidden(layers, x: np.ndarray) -> np.ndarray:
+    """The last hidden activation of every row of ``x``: one run in the
+    calling thread below two blocks, else one run of blocks per pool thread."""
     n = x.shape[0]
     hidden = np.empty((n, layers[-1][0].shape[1]))
+    if n < 2 * BLOCK_ROWS:
+        _hidden_rows(layers, x, hidden, 0, n)
+        return hidden
     pool = inference_pool()
     edges = _block_edges(0, n, min(pool.threads, n // BLOCK_ROWS))
     futures = [
@@ -166,6 +172,17 @@ def _pooled_hidden(layers, x: np.ndarray) -> np.ndarray:
 def num_parameters(widths: list[int]) -> int:
     """Length of ``theta`` for a network of these layer widths."""
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def row_sq_error_mean(
@@ -210,11 +227,8 @@ def bce_with_logits(model: "Mlp", x: np.ndarray, targets: np.ndarray) -> Tensor:
     y = np.asarray(targets, dtype=np.float64).reshape(z.shape)
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
-    def backward():
-        sig = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-        model.backward(cache, (sig - y) / z.size)
-
-    return Tensor((softplus - y * z).mean(), backward)
+    return Tensor((softplus - y * z).mean(),
+                  lambda: model.backward(cache, (sigmoid(z) - y) / z.size))
 
 
 class Mlp:
@@ -315,41 +329,17 @@ class Mlp:
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Inference forward pass: same op order as ``forward``, no cache.
 
-        Each layer works in place on its own fresh matmul output, so the
-        input is never written. From ``2 * BLOCK_ROWS`` rows up the hidden
-        layers run in row blocks on the inference pool, bit-identical to
-        the serial loop (see the module docstring).
+        The hidden layers run through ``_hidden``, on the inference pool
+        from ``2 * BLOCK_ROWS`` rows up (see the module docstring); the
+        input is never written.
         """
         h = self._checked_input(x)
-        if h.shape[0] >= 2 * BLOCK_ROWS and len(self.layers) > 1:
-            w, b = self.layers[-1]
-            out = _pooled_hidden(self.layers[:-1], h) @ w
-            out += b
-            return out
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            h = h @ w
-            h += b
-            if i != last:
-                np.tanh(h, out=h)
-        return h
-
-    def velocity_input(self, t, x) -> np.ndarray:
-        """The field's input rows: points ``x`` (n, d) with ``t`` appended.
-
-        ``t`` may be a scalar or a per-row array.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim - 1:
-            raise ShapeError(f"expected points (n, {self.in_dim - 1}), got {x.shape}")
-        t_col = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],)).reshape(-1, 1)
-        if not np.all(np.isfinite(t_col)):
-            raise ValueError("t must be finite")
-        return np.concatenate([x, t_col], axis=1)
-
-    def velocity(self, t, x) -> np.ndarray:
-        """Evaluate the field at time ``t`` on points ``x`` (inference)."""
-        return self.forward_raw(self.velocity_input(t, x))
+        *hidden, (w, b) = self.layers
+        if hidden:
+            h = _hidden(hidden, h)
+        out = h @ w
+        out += b
+        return out
 
     def copy(self) -> "Mlp":
         return Mlp(self.widths, theta=self.theta)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import datasets
 from .config import ConfigError
-from .diffcore import Mlp, Adam, bce_with_logits, load_mlp
+from .diffcore import Mlp, Adam, bce_with_logits, load_mlp, sigmoid
 
 __all__ = [
     "EnergySpec",
@@ -48,17 +48,6 @@ __all__ = [
 ENERGY_SATURATION = 5.0  # |F| cap for analytic region energies
 DEFAULT_SHARPNESS = 16.0  # margin-to-energy slope at the region boundary
 CLASSIFIER_PROB_CLAMP = 1e-6
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class EnergySpec:

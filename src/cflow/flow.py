@@ -399,8 +399,12 @@ class FlowModel:
         return self.field.out_dim
 
     def velocity(self, t, x) -> np.ndarray:
-        """This model's own field, evaluated by the inference forward pass."""
-        return self.field.velocity(t, x)
+        """This model's own field at time ``t`` (a scalar or one per row) on
+        points ``x`` (n, d), evaluated by the inference forward pass."""
+        field = self._field_fn(x)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("t must be finite")
+        return field(t, x)
 
     def _field_fn(self, x: np.ndarray):
         """This model's own field as ``integrate``'s callback from the points
@@ -509,11 +513,8 @@ def train(
     # the energy is frozen, so a pool's weights are computed once
     pool_w = target.weight(q0.points) if unlearn and isinstance(q0, EmpiricalSampler) else None
 
-    losses: list[float] = []
-    ot_costs: list[float] = []
-    indep_costs: list[float] = []
-    weight_means: list[float] = []
-    ess_fracs: list[float] = []
+    # per-step columns in loss.csv order: loss, then the mode's own, added on first use
+    trace: dict[str, list[float]] = {"loss": []}
 
     ot_steps = _ot_steps(q0, data_sampler, cfg.batch, cfg.steps) if use_ot else None
     try:
@@ -538,20 +539,20 @@ def train(
                         if attempt == MAX_BATCH_RESAMPLES:
                             raise
                 mean, ess = weight_stats(w)
-                weight_means.append(mean)
-                ess_fracs.append(ess)
+                trace.setdefault("weight_mean", []).append(mean)
+                trace.setdefault("ess_frac", []).append(ess)
             else:
                 if use_ot:
                     coupling, indep_cost = next(ot_steps)
-                    indep_costs.append(indep_cost)
-                    ot_costs.append(coupling.cost)
+                    trace.setdefault("ot_cost", []).append(coupling.cost)
+                    trace.setdefault("independent_cost", []).append(indep_cost)
                 else:
                     coupling = independent_coupling(q0.sample(cfg.batch), data_sampler.sample(cfg.batch))
                 t = rng.uniform(0.0, 1.0, size=cfg.batch)
                 loss = cfm_loss(field, coupling, t, sigma=cfg.sigma, rng=rng)
             loss.backward()
             opt.step()
-            losses.append(loss.item())
+            trace["loss"].append(loss.item())
     finally:
         if ot_steps is not None:
             ot_steps.close()
@@ -566,13 +567,7 @@ def train(
     }
     n_steps = cfg.integration_steps if parent is None else cfg.transport_integration_steps
     model = FlowModel(field, parent=parent, n_steps=n_steps, provenance=provenance)
-    model.loss_trace = {"loss": losses}
-    if unlearn:
-        model.loss_trace["weight_mean"] = weight_means
-        model.loss_trace["ess_frac"] = ess_fracs
-    if use_ot:
-        model.loss_trace["ot_cost"] = ot_costs
-        model.loss_trace["independent_cost"] = indep_costs
+    model.loss_trace = trace
     return model
 
 

@@ -130,7 +130,15 @@ def benchmark_spec(
     }
     return spec_from_dict(data)
 
-# seed-stream tags keep the per-purpose generators disjoint
+# seed-stream tags give each purpose its own generator, [seed, tag, ...], with
+# two overlaps that stay because separating them would change every checkpoint:
+# * flow.train seeds its data sampler [seed, 0x64617461], the stream _TAG_DATA
+#   gives ds.generate here, so the batch index draws repeat the draws that made
+#   the data (circles, seed 0: each of the first 256 indices is below 2,000
+#   exactly when the point generated at that position is retain);
+# * the velocity field and the classifier both draw their initial weights from
+#   default_rng(seed): the field's first 128 first-layer weights are 0.9925
+#   times the classifier's 128, the ratio of their Glorot scales.
 _TAG_DATA = 0x64617461
 _TAG_Q0 = 0x71300000
 _TAG_TRAJ = 0x74726A00

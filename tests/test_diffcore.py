@@ -27,6 +27,7 @@ from cflow.diffcore import (
     velocity_mlp,
 )
 from cflow.diffcore.nn import row_sq_error_mean
+from cflow.flow import FlowModel
 
 
 def assert_grads_close(analytic, numeric, rel=1e-4):
@@ -77,20 +78,20 @@ class TestMlpForward:
         w_last, b_last = m.layers[-1]
         w_last[...] = 0.0
         b_last[...] = 0.0
-        out = m.velocity(0.3, np.random.default_rng(0).normal(size=(7, 2)))
+        out = FlowModel(m).velocity(0.3, np.random.default_rng(0).normal(size=(7, 2)))
         np.testing.assert_array_equal(out, np.zeros((7, 2)))
 
     def test_single_linear_layer_identity_ignores_time(self):
         m = Mlp([3, 2], seed=0)
         m.layers[0][0][...] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
         m.layers[0][1][...] = 0.0
-        out = m.velocity(0.77, np.array([[1.0, 2.0]]))
+        out = FlowModel(m).velocity(0.77, np.array([[1.0, 2.0]]))
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_deterministic_for_fixed_seed(self):
         x = np.random.default_rng(5).normal(size=(11, 2))
-        a = velocity_mlp(seed=42).velocity(0.5, x)
-        b = velocity_mlp(seed=42).velocity(0.5, x)
+        a = FlowModel(velocity_mlp(seed=42)).velocity(0.5, x)
+        b = FlowModel(velocity_mlp(seed=42)).velocity(0.5, x)
         np.testing.assert_array_equal(a, b)
 
     def test_forward_raw_matches_tape_forward(self):
@@ -112,14 +113,14 @@ class TestMlpForward:
         np.testing.assert_array_equal(x, x_before)
 
     def test_input_width_checked(self):
-        m = velocity_mlp(seed=0)
+        model = FlowModel(velocity_mlp(seed=0))
         with pytest.raises(ShapeError):
-            m.velocity(0.1, np.ones((4, 3)))
+            model.velocity(0.1, np.ones((4, 3)))
 
     def test_non_finite_time_rejected(self):
-        m = velocity_mlp(seed=0)
+        model = FlowModel(velocity_mlp(seed=0))
         with pytest.raises(ValueError):
-            m.velocity(np.inf, np.ones((1, 2)))
+            model.velocity(np.inf, np.ones((1, 2)))
 
     def test_layers_are_views_into_theta(self):
         m = Mlp([3, 4, 2], seed=2)

@@ -673,10 +673,15 @@ class TestCli:
             (["traj", "--steps", "3", "--snapshots", "50"], "--snapshots must lie in [2, 4], got 50"),
             (["eval", "run", "--dataset", "circles", "--classifier", "clf.bin", "--seeds", "0", "-1"],
              "--seeds must be >= 0, got -1"),
+            (["sample", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["traj", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["datasets", "export", "--name", "circles", "--n", "10", "--seed", "-1"],
+             "--seed must be >= 0, got -1"),
         ],
         ids=["sample-n-0", "sample-n-negative", "sample-n-huge", "sample-steps-0", "traj-n-0",
              "traj-n-huge", "traj-steps-0", "export-n-0", "export-n-huge", "traj-snapshots-1",
-             "traj-snapshots-past-steps", "eval-seeds-negative"],
+             "traj-snapshots-past-steps", "eval-seeds-negative", "sample-seed-negative",
+             "traj-seed-negative", "export-seed-negative"],
     )
     def test_size_flags_are_config_errors(self, tmp_path, capsys, monkeypatch, argv, message):
         def fail(*args, **kwargs):

@@ -62,11 +62,12 @@ def test_blocked_forward_is_the_serial_loop_bit_for_bit(monkeypatch, pool_thread
     m = net(widths)
     x = np.random.default_rng(n).normal(size=(n, widths[0]))
     x_before = x.copy()
-    runs = []
+    runs, threads = [], []
     hidden_rows = nn._hidden_rows
 
     def spy(layers, x, hidden, lo, hi):
         runs.append((lo, hi))
+        threads.append(threading.current_thread())
         hidden_rows(layers, x, hidden, lo, hi)
 
     monkeypatch.setattr(nn, "_hidden_rows", spy)
@@ -74,7 +75,9 @@ def test_blocked_forward_is_the_serial_loop_bit_for_bit(monkeypatch, pool_thread
     np.testing.assert_array_equal(out, serial_forward(m, x))
     np.testing.assert_array_equal(x, x_before)
     if n < 2 * nn.BLOCK_ROWS:
-        assert runs == []
+        # one run over all rows, in the calling thread
+        assert runs == [(0, n)]
+        assert threads == [threading.current_thread()]
     else:
         # one run per thread (at most one per block), cut at block edges,
         # covering every row once
@@ -103,8 +106,9 @@ def test_chain_sample_is_integration_over_the_serial_field():
     x = GaussianSampler(7, dim=2).sample(12288)
     for stage in model.chain:
         field = stage.field
-        x = flow.integrate(lambda t, y: serial_forward(field, field.velocity_input(t, y)),
-                           x, stage.n_steps)
+        x = flow.integrate(
+            lambda t, y: serial_forward(field, np.column_stack([y, np.full(len(y), t)])),
+            x, stage.n_steps)
     np.testing.assert_array_equal(model.sample(12288, seed=7), x)
 
 
@@ -186,7 +190,7 @@ def test_small_and_linear_nets_stay_serial(monkeypatch):
     def fail(*args):
         raise AssertionError("the pool ran")
 
-    monkeypatch.setattr(nn, "_pooled_hidden", fail)
+    monkeypatch.setattr(nn, "inference_pool", fail)
     velocity_mlp(seed=0).forward_raw(np.ones((2 * nn.BLOCK_ROWS - 1, 3)))
     linear = Mlp([3, 2], seed=0)
     x = np.random.default_rng(0).normal(size=(3 * nn.BLOCK_ROWS, 3))
