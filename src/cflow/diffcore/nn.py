@@ -38,17 +38,37 @@ its bundled OpenBLAS 0.3.31 on one BLAS thread on an AVX-512 Xeon:
   to 24 of its 64 first-layer columns. So every block here holds at least
   ``BLOCK_ROWS`` rows (a short tail joins the block before it) and starts
   at a multiple of ``BLOCK_ROWS``.
-* The 64->2 output layer does not: OpenBLAS picks another dgemm kernel as
-  the batch grows, and cutting 12,288 rows into two halves changed 20,279
-  of the 24,576 outputs (7,813 rows: 12,890 of 15,626). So it stays one
-  matmul over all rows at every row count.
+* The output layer keeps its bits under a cut only while the whole
+  batch's product stays in OpenBLAS's small-matrix kernel, which takes a
+  product of at most ``SMALL_GEMM_MADDS`` (10^6) multiply-adds (rows x
+  fan_in x fan_out); past it another dgemm kernel runs. A 64->2 layer
+  kept its bits under multiple-of-4 cuts at 7,812 rows but not at 7,813
+  (12,890 of 15,626 outputs changed), a 512->2 layer at 976 rows but not
+  at 977, and cutting 12,288 rows into two halves changed 20,279 of the
+  24,576 outputs of a 64->2 layer. So ``forward_raw`` applies it as one
+  matmul over all rows.
 
 A network without a hidden layer is that one matmul alone.
 
-``inference_pool`` is the process's one worker pool. Besides these row
-blocks it runs ``flow.train``'s minibatch-OT solves ahead of the training
-step. No job submits another or waits on one, so the pool cannot deadlock;
-a caller's row blocks may only queue behind solves already submitted.
+The second rule is what lets a sampler take a batch apart once instead
+of at every step. Forward Euler moves every point on its own, so
+``flow`` cuts a batch into row shares (``row_shares``) and carries each
+share through every Euler step of every chain stage, one share per pool
+thread; ``run_shares`` hands them to the pool once per call. Shares are
+taken only where the bits cannot move: below ``2 * BLOCK_ROWS`` rows, so
+a share's own forward runs in its thread and no pool job submits
+another, and where every net's output layer over the whole batch is at
+or below ``SMALL_GEMM_MADDS``. Each share has at least ``SHARE_ROWS``
+rows and every cut falls on a multiple of 4 rows. Past the rule a
+sampler keeps one batch and ``forward_raw`` its per-step row blocks.
+
+``inference_pool`` is the process's one worker pool. Besides row blocks
+and row shares it runs ``flow.train``'s minibatch-OT solves ahead of the
+training step. No job submits another, and no job waits on one, so the
+pool cannot deadlock. A caller that hands out row shares runs the first
+one itself and, once it is done, takes back every share the pool has not
+started, so a share never waits behind solves already queued; a caller's
+row blocks may still queue behind them.
 """
 
 from __future__ import annotations
@@ -71,6 +91,8 @@ __all__ = [
     "num_parameters",
     "inference_threads",
     "inference_pool",
+    "row_shares",
+    "run_shares",
 ]
 
 DEFAULT_HIDDEN = (64, 64, 64)
@@ -79,6 +101,10 @@ DEFAULT_HIDDEN = (64, 64, 64)
 BLOCK_ROWS = 1024
 # the inference pool never starts more threads than this, however many CPUs
 MAX_INFERENCE_THREADS = 4
+# fewest rows of a share of a batch that a sampler carries through its chain
+SHARE_ROWS = 128
+# the largest product (multiply-adds) OpenBLAS runs in its small-matrix kernel
+SMALL_GEMM_MADDS = 10**6
 
 
 def inference_threads() -> int:
@@ -169,6 +195,44 @@ def _hidden(layers, x: np.ndarray) -> np.ndarray:
     return hidden
 
 
+def row_shares(nets, n: int) -> list[int]:
+    """Row edges that cut a batch of ``n`` rows into one share per pool
+    thread for ``run_shares``, or ``[0, n]`` where that could move the bits
+    of any network in ``nets``: from ``2 * BLOCK_ROWS`` rows, or where a
+    net's output layer over all ``n`` rows is past ``SMALL_GEMM_MADDS``.
+    Each share has at least ``SHARE_ROWS`` rows and starts at a multiple
+    of 4 rows; the last one also takes the remainder."""
+    parts = n // SHARE_ROWS
+    if parts < 2 or n >= 2 * BLOCK_ROWS:
+        return [0, n]
+    if any(n * net.layers[-1][0].size > SMALL_GEMM_MADDS for net in nets):
+        return [0, n]
+    parts = min(parts, inference_pool().threads)
+    quads = n // 4
+    return [4 * (quads * k // parts) for k in range(parts)] + [n]
+
+
+def run_shares(fn, edges: list[int]) -> list:
+    """``fn(lo, hi)`` for every share between ``edges``, in row order.
+
+    The pool starts every share but the first, which the caller runs; then
+    the caller takes back each share the pool has not started and runs it
+    itself. No share is still running when this returns or raises, and a
+    share's error reaches the caller with its type.
+    """
+    executor = inference_pool().executor
+    jobs = [(lo, hi, executor.submit(fn, lo, hi)) for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        results = [fn(edges[0], edges[1])]
+        for lo, hi, job in jobs:
+            results.append(fn(lo, hi) if job.cancel() else job.result())
+        return results
+    finally:
+        # a cancelled share never runs, and ``wait`` would block on it until
+        # a pool thread dequeued it; wait for the started ones only
+        wait([job for *_, job in jobs if not job.cancel()])
+
+
 def num_parameters(widths: list[int]) -> int:
     """Length of ``theta`` for a network of these layer widths."""
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
@@ -198,23 +262,29 @@ def row_sq_error_mean(
     ``normalized`` (the batch form used in training) or mean(w * e)
     otherwise; ``backward()`` hands 2 * coef * residual to ``model.backward``.
     """
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    total = w.sum() if w is not None and normalized else None
+    return Tensor(*_sq_error_parts(model, x, target, w, total))
+
+
+def _sq_error_parts(model: "Mlp", x, target, w, total):
+    """The value and backward function of ``row_sq_error_mean`` with
+    float64 ``weights`` ``w``, given the weight sum of the normalized form
+    as ``total`` (None for the plain mean and for the unnormalized form)."""
     out, cache = model.forward(x)
     residual = out - np.asarray(target, dtype=np.float64)
     errors = (residual * residual).sum(axis=1)
     n = errors.shape[0]
-    if weights is None:
+    if w is None:
         value = errors.mean()
         coef = np.full(n, 1.0 / n)
+    elif total is None:
+        value = (w * errors).mean()
+        coef = w / n
     else:
-        w = np.asarray(weights, dtype=np.float64)
-        if normalized:
-            total = w.sum()
-            value = (w * errors).sum() / total
-            coef = w / total
-        else:
-            value = (w * errors).mean()
-            coef = w / n
-    return Tensor(value, lambda: model.backward(cache, 2.0 * coef[:, None] * residual))
+        value = (w * errors).sum() / total
+        coef = w / total
+    return value, lambda: model.backward(cache, 2.0 * coef[:, None] * residual)
 
 
 def bce_with_logits(model: "Mlp", x: np.ndarray, targets: np.ndarray) -> Tensor:
@@ -333,6 +403,10 @@ class Mlp:
         from ``2 * BLOCK_ROWS`` rows up (see the module docstring); the
         input is never written.
         """
+        return self._forward_raw(x)
+
+    def _forward_raw(self, x: np.ndarray) -> np.ndarray:
+        # forward_raw under a name no tracer wraps, for row shares on pool threads
         h = self._checked_input(x)
         *hidden, (w, b) = self.layers
         if hidden:

@@ -65,9 +65,26 @@ queued jobs are cancelled and the running ones awaited before the error
 leaves ``train``; a job's own error reaches the caller with its type.
 
 Sampling integrates the learned ODE with forward Euler over t in [0, 1].
-``integrate`` is the only Euler loop: ``FlowModel.push`` runs it once per
-chain stage, and ``trajectory`` takes its snapshots through the per-step
-``on_step`` callback; both refill one field input buffer at every step.
+``_euler`` is the only Euler loop, and the public ``integrate`` runs it.
+Euler moves every point on its own (the field sees one row at a time),
+so ``FlowModel.push`` and ``trajectory`` take a batch apart once per call
+rather than once per step: ``diffcore.row_shares`` cuts it into one row
+share per pool thread where the bits cannot move (below 2,048 rows, with
+every stage's output layer over the whole batch at or below OpenBLAS's
+small-matrix cut-over of 10^6 multiply-adds; see ``diffcore.nn``), and
+``diffcore.run_shares`` runs the caller's share in the calling thread
+and the others on the pool, each through every Euler step of every chain
+stage without synchronising. The results are joined once, in row order.
+That is one pool hand-off per call instead of one per Euler step (125
+for a draw through a 25+100-step chain); the caller takes back any share
+the pool has not started, so a share never waits behind OT solves that
+are queued there. A share calls ``_euler`` and ``Mlp._forward_raw``,
+never ``integrate`` or ``forward_raw``: a tracer that wraps those sees
+one thread, and sees no per-step work of a shared call. Where no shares
+are taken (one share's worth of rows, 2,048 rows and more, or an output
+layer past the cut-over) a call integrates stage by stage through
+``integrate``, and ``forward_raw`` runs each step's row blocks. Either
+way every step refills one field input buffer per share.
 A model trained on top of another model's outputs keeps that parent in its
 chain, so generation always starts from the standard Gaussian root.
 """
@@ -96,6 +113,7 @@ from .diffcore.checkpoint import (
     read_text,
     read_u32,
 )
+from .diffcore.nn import _sq_error_parts, row_shares, run_shares
 from .energy import EnergySpec
 from .metrics import MAX_ROWS
 
@@ -309,9 +327,10 @@ def erfm_loss(
         raise ValueError("empty batch")
     if np.shape(w) != (len(coupling),):
         raise ValueError(f"need one weight per pair: shape {np.shape(w)}, {len(coupling)} pairs")
-    if w.sum() < SUPPRESSED_WEIGHT_SUM:
+    total = w.sum()
+    if total < SUPPRESSED_WEIGHT_SUM:
         raise FullySuppressedBatchError(
-            f"batch weight sum {w.sum():.3e} below {SUPPRESSED_WEIGHT_SUM:.0e}; "
+            f"batch weight sum {total:.3e} below {SUPPRESSED_WEIGHT_SUM:.0e}; "
             "resample the batch"
         )
     x = _field_input(model, coupling, t, sigma, rng)
@@ -319,13 +338,27 @@ def erfm_loss(
     if normalized and w.max() == w.min():
         # constant energy: the weights cancel, so this is bit-identical to
         # the plain CFM mean on the same batch
-        return row_sq_error_mean(model, x, delta)
-    return row_sq_error_mean(model, x, delta, weights=w, normalized=normalized)
+        return _WeightedLoss(*_sq_error_parts(model, x, delta, None, None), total)
+    return _WeightedLoss(*_sq_error_parts(model, x, delta, w, total if normalized else None), total)
+
+
+class _WeightedLoss(Tensor):
+    """``erfm_loss``'s handle, which keeps the batch weight sum it computed
+    for the training step's weight statistics."""
+
+    __slots__ = ("weight_total",)
+
+    def __init__(self, value, backward_fn, weight_total):
+        super().__init__(value, backward_fn)
+        self.weight_total = weight_total
 
 
 def weight_stats(w: np.ndarray) -> tuple[float, float]:
     """Mean weight and Kish effective sample fraction (sum w)^2 / (B sum w^2)."""
-    total = w.sum()
+    return _weight_stats(w, w.sum())
+
+
+def _weight_stats(w: np.ndarray, total) -> tuple[float, float]:
     return float(total / w.size), float(total * total / (w.size * (w * w).sum()))
 
 
@@ -406,28 +439,31 @@ class FlowModel:
             raise ValueError("t must be finite")
         return field(t, x)
 
-    def _field_fn(self, x: np.ndarray):
+    def _field_fn(self, x: np.ndarray, shared: bool = False):
         """This model's own field as ``integrate``'s callback from the points
         ``x`` (n, d) on. Each call refills one (n, d + 1) input buffer, which
-        ``forward_raw`` never writes and is done with when it returns."""
+        the forward never writes and is done with when it returns. A
+        ``shared`` field (a row share on a pool thread) calls
+        ``Mlp._forward_raw`` instead of the traced ``forward_raw``."""
         if np.ndim(x) != 2 or np.shape(x)[1] != self.dim:
             raise ShapeError(f"expected points (n, {self.dim}), got {np.shape(x)}")
         d = self.dim
         rows = np.empty((len(x), d + 1))
+        forward = self.field._forward_raw if shared else self.field.forward_raw
 
         def field(t, y):
             rows[:, :d] = y
             rows[:, d] = t
-            return self.field.forward_raw(rows)
+            return forward(rows)
 
         return field
 
     def push(self, x: np.ndarray, n_steps: int | None = None) -> np.ndarray:
-        """Transport points through the whole chain ending at this field."""
-        if self.parent is not None:
-            x = self.parent.push(x, n_steps=n_steps)
-        steps = self.n_steps if n_steps is None else n_steps
-        return integrate(self._field_fn(x), x, steps)
+        """Transport points through the whole chain ending at this field,
+        in row shares where ``diffcore.row_shares`` allows (module docstring)."""
+        chain = self.chain
+        return np.concatenate(_in_shares([stage.field for stage in chain], x,
+                                         lambda rows, shared: _through_chain(chain, rows, n_steps, shared)))
 
     def base_states(self, n: int, seed=0, n_steps: int | None = None) -> np.ndarray:
         """Inputs to this model's own stage: Gaussian root run through parents."""
@@ -538,7 +574,7 @@ def train(
                     except FullySuppressedBatchError:
                         if attempt == MAX_BATCH_RESAMPLES:
                             raise
-                mean, ess = weight_stats(w)
+                mean, ess = _weight_stats(w, loss.weight_total)
                 trace.setdefault("weight_mean", []).append(mean)
                 trace.setdefault("ess_frac", []).append(ess)
             else:
@@ -582,6 +618,11 @@ def integrate(field_fn, x0: np.ndarray, n_steps: int, on_step=None) -> np.ndarra
     called after each step with the new state; each step makes a new
     array, so a callback may keep ``x``.
     """
+    return _euler(field_fn, x0, n_steps, on_step)
+
+
+def _euler(field_fn, x0: np.ndarray, n_steps: int, on_step=None) -> np.ndarray:
+    # the one Euler loop: ``integrate``, and every row share on a pool thread
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x = np.array(x0, dtype=np.float64, copy=True)
@@ -593,13 +634,36 @@ def integrate(field_fn, x0: np.ndarray, n_steps: int, on_step=None) -> np.ndarra
     return x
 
 
+def _in_shares(nets: list[Mlp], x: np.ndarray, run) -> list:
+    """``run(rows, shared)`` on each row share of the points ``x`` that
+    ``diffcore.row_shares`` allows for ``nets``, in row order: on all of
+    ``x`` in the calling thread where it allows one share, else through
+    ``diffcore.run_shares`` (module docstring)."""
+    edges = row_shares(nets, len(x))
+    if len(edges) == 2:
+        return [run(x, False)]
+    x = np.asarray(x, dtype=np.float64)
+    return run_shares(lambda lo, hi: run(x[lo:hi], True), edges)
+
+
+def _through_chain(chain: list[FlowModel], x: np.ndarray, n_steps: int | None, shared: bool) -> np.ndarray:
+    """Points ``x`` carried through every stage of ``chain``, each with its
+    own step count unless ``n_steps`` is given: through ``integrate`` in the
+    calling thread, through ``_euler`` in a ``shared`` row share."""
+    euler = _euler if shared else integrate
+    for stage in chain:
+        x = euler(stage._field_fn(x, shared), x, stage.n_steps if n_steps is None else n_steps)
+    return x
+
+
 def trajectory(
     model: FlowModel, x0: np.ndarray, n_steps: int, k_snapshots: int
 ) -> list[tuple[float, np.ndarray]]:
     """States of this model's own stage at k evenly spaced times in [0, 1].
 
     Returns (t, batch) pairs including both endpoints; the final snapshot
-    coincides with running the integrator to completion from x0.
+    coincides with running the integrator to completion from x0. Rows go
+    in shares where ``diffcore.row_shares`` allows (module docstring).
     """
     if k_snapshots < 2:
         raise ValueError("need at least the two endpoint snapshots")
@@ -607,15 +671,21 @@ def trajectory(
         raise ValueError("k_snapshots must be <= n_steps + 1")
     marks = np.unique(np.round(np.linspace(0, n_steps, k_snapshots)).astype(int))
     dt = 1.0 / n_steps
-    snaps = [(0.0, np.array(x0, dtype=np.float64, copy=True))]
 
-    def snapshot(k, x):
-        if k in marks:
-            # k * dt, not k / n_steps: the two differ in the last bit
-            snaps.append((k * dt, x))
+    def snapshots(rows, shared: bool):
+        snaps = [(0.0, np.array(rows, dtype=np.float64, copy=True))]
 
-    integrate(model._field_fn(x0), x0, n_steps, on_step=snapshot)
-    return snaps
+        def snapshot(k, x):
+            if k in marks:
+                # k * dt, not k / n_steps: the two differ in the last bit
+                snaps.append((k * dt, x))
+
+        euler = _euler if shared else integrate
+        euler(model._field_fn(rows, shared), rows, n_steps, on_step=snapshot)
+        return snaps
+
+    shares = _in_shares([model.field], x0, snapshots)
+    return [(t, np.concatenate([share[i][1] for share in shares])) for i, (t, _) in enumerate(shares[0])]
 
 
 # -- persistence ----------------------------------------------------------------

@@ -292,9 +292,15 @@ def _write_yaml(path: Path, data: dict) -> None:
 
 
 def write_traj_csv(path: str | Path, snaps: list[tuple[float, np.ndarray]]) -> None:
-    """One ``snapshot_index,t,x,y`` row per point of each ``flow.trajectory`` snapshot."""
-    rows = ((idx, t, x, y) for idx, (t, batch) in enumerate(snaps) for x, y in batch)
-    ds.write_csv(path, ["snapshot_index", "t", "x", "y"], rows)
+    """One ``snapshot_index,t,x,y`` row per point of each ``flow.trajectory``
+    snapshot, in the bytes ``ds.write_csv`` gives them: ``tolist`` makes
+    Python floats, which ``csv`` writes as their ``repr``."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["snapshot_index", "t", "x", "y"])
+        for idx, (t, batch) in enumerate(snaps):
+            t = float(t)
+            writer.writerows([idx, t, x, y] for x, y in batch.tolist())
 
 
 def write_report_csv(path: Path, rows: list[me.MetricsReport]) -> None:
@@ -424,11 +430,12 @@ def run_stage(
     model = flow.train(cfg, q0, target, mode=stage.mode, seed=spec.seed, parent=parent, init=init)
     train_time_s = time.perf_counter() - start
 
+    config_hash = spec.config_hash()
     _write_yaml(stage_dir / "config.yaml", spec.to_dict())
     _write_yaml(stage_dir / "meta.yaml", {
         "stage": pipeline,
         "seed": spec.seed,
-        "config_sha256": spec.config_hash(),
+        "config_sha256": config_hash,
         "blas_threads": blas_threads(),
         "inference_threads": inference_threads(),
         "cpu_count": os.cpu_count(),
@@ -451,7 +458,7 @@ def run_stage(
         stage_dir=stage_dir,
         ckpt_path=ckpt,
         rows=rows,
-        config_hash=spec.config_hash(),
+        config_hash=config_hash,
     )
 
 

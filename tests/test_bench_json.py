@@ -95,3 +95,38 @@ def test_traced_pairs_use_the_seeds_there_are(tmp_path):
         "7 parent", "7 change", "7 parent traced", "7 change traced", ""]
     traced = json.loads(out.read_text())["workloads"]["unlearn"]["change"]["traced"]
     assert traced["metrics"]["flow.ot_coupling_s"]["median"] == 0.057
+
+
+def test_gaps_and_the_gain_rule(tmp_path):
+    parent = _checkout(tmp_path / "parent", speed=100.0)
+    change = _checkout(tmp_path / "change", speed=50.0)
+    same = _checkout(tmp_path / "same", speed=99.0)
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main(["--out", str(out), "--seeds", "1-10", "--workloads", "unlearn",
+                            "--checkout", f"parent={parent}", "--checkout", f"change={change}"]) == 0
+    entry = json.loads(out.read_text())["workloads"]["unlearn"]
+    got = entry["gaps_change_over_parent"]["op_ms_p50"]
+    # parent 101..110 ms: median 105.5, quartiles 103.25 and 107.75; change 51..60
+    assert got["median_gap"] == pytest.approx((55.5 - 105.5) / 105.5)
+    assert got["parent_spread"] == pytest.approx(4.5 / 105.5)
+    assert got["gain_rule_holds"] and entry["wins_change_over_parent"]["op_ms_p50"] == "10/10"
+    assert entry["gaps_change_over_parent"]["work_per_s"]["gain_rule_holds"]
+
+    # 1 ms faster wins every pair but is inside the parent's own spread
+    (tmp_path / "calls.txt").unlink()
+    assert bench_json.main(["--out", str(out), "--seeds", "1-10", "--workloads", "unlearn",
+                            "--checkout", f"parent={parent}", "--checkout", f"same={same}"]) == 0
+    entry = json.loads(out.read_text())["workloads"]["unlearn"]
+    assert entry["wins_same_over_parent"]["op_ms_p50"] == "10/10"
+    assert not entry["gaps_same_over_parent"]["op_ms_p50"]["gain_rule_holds"]
+
+
+def test_the_gain_rule_needs_ten_pairs_and_nine_wins():
+    better = {"op_ms_p50": "lower"}
+    first = {"metrics": {"op_ms_p50": {"median": 100.0, "q1": 99.0, "q3": 101.0}}}
+    last = {"metrics": {"op_ms_p50": {"median": 50.0, "q1": 49.0, "q3": 51.0}}}
+    rule = {won: bench_json.gaps(first, last, {"op_ms_p50": won}, better)["op_ms_p50"]["gain_rule_holds"]
+            for won in ("9/10", "8/10", "9/9", "18/20", "17/20")}
+    assert rule == {"9/10": True, "8/10": False, "9/9": False, "18/20": True, "17/20": False}
+    worse = bench_json.gaps(last, first, {"op_ms_p50": "10/10"}, better)["op_ms_p50"]
+    assert worse["median_gap"] == 1.0 and not worse["gain_rule_holds"]

@@ -3,7 +3,8 @@ bit-identical to a serial loop solving each step in turn, at every window
 edge, for refit-ot and for learn with the ot coupling, with conditional
 noise; a job's error reaches the caller with its type and leaves the pool
 working; a step's error leaves no job queued or running; and every entry
-point the benchmark's tracer wraps runs on the calling thread only."""
+point the benchmark's tracer wraps runs on the calling thread only, through
+OT training, row-share sampling and whole harness stages."""
 
 import functools
 import threading
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from cflow import datasets as ds
-from cflow import flow
+from cflow import energy as en
+from cflow import flow, harness, metrics
 from cflow.diffcore import Adam, Mlp, Sgd, Tensor, nn, velocity_mlp
 
 W = flow.OT_WINDOW
@@ -148,8 +150,8 @@ def test_a_failing_step_leaves_no_job_behind(pool, monkeypatch):
     assert any(job.cancelled() for job in pool.jobs)
 
 
-# the entry points perfbench/layers.py wraps that an OT training run reaches;
-# its tracer records spans from one thread only
+# the entry points perfbench/layers.py wraps; its tracer records spans from
+# one thread only
 TRACED = [
     (Tensor, "backward"),
     (Adam, "step"),
@@ -160,13 +162,21 @@ TRACED = [
     (flow, "ot_coupling"),
     (flow, "integrate"),
     (flow, "train"),
+    (flow, "save_model"),
+    (flow, "load_model"),
     (flow.ModelSampler, "sample"),
+    (en.EnergySpec, "weight"),
+    (en, "train_classifier"),
     (ds.GaussianSampler, "sample"),
     (ds.EmpiricalSampler, "sample"),
+    (metrics, "evaluate_model"),
+    (metrics, "mmd2"),
+    (metrics, "measure_inference_ms"),
+    (harness, "run"),
 ]
 
 
-def test_traced_entry_points_run_on_the_calling_thread_only(pool, monkeypatch):
+def test_traced_entry_points_run_on_the_calling_thread_only(pool, monkeypatch, tmp_path):
     seen = {}
 
     for owner, attr in TRACED:
@@ -184,8 +194,32 @@ def test_traced_entry_points_run_on_the_calling_thread_only(pool, monkeypatch):
     q0 = flow.ModelSampler(root, seed=4)
     cfg = flow.TrainConfig(steps=2 * W + 1, batch=16, hidden=(8,))
     flow.train(cfg, q0, ds.generate("circles", 64, 0), mode="refit-ot")
-    assert set().union(*seen.values()) == {threading.get_ident()}
     assert {"ModelSampler.sample", "EmpiricalSampler.sample", "Mlp.forward_raw", "flow.cfm_loss",
             "Adam.step"} <= set(seen)
     # the solves run in the pool's private job, not through the public name
     assert "flow.ot_coupling" not in seen
+
+    # row shares: sampling and trajectories of 1,000 rows, then a whole
+    # learn and unlearn stage (its source pool, trajectory, evaluation and
+    # timing draw all take shares on a pool of two)
+    before = len(pool.jobs)
+    model = flow.FlowModel(velocity_mlp(hidden=(8,), seed=2), parent=root, n_steps=4)
+    model.sample(1000, seed=1)
+    flow.trajectory(model, model.base_states(1000, seed=2), model.n_steps, 3)
+    # one hand-off each: the sample, the base states and the trajectory
+    assert len(pool.jobs) - before == (3 if pool._max_workers == 2 else 0)
+    spec = harness.spec_from_dict({
+        "name": "traced", "benchmark": "circles", "pipeline": "learn", "out": str(tmp_path / "run"),
+        "data_n": 512, "train": {"steps": 20, "batch": 32, "hidden": [8], "integration_steps": 5,
+                                 "transport_integration_steps": 5},
+        "energy": {"kind": "classifier"}, "unlearn_source": "model", "unlearn_steps": 20,
+        "source_pool": 512, "source_steps": 5, "eval_seeds": [0], "eval_n": 300,
+    })
+    before = len(pool.jobs)
+    harness.run(spec)
+    harness.run(spec.with_pipeline("unlearn-erfm"))
+    assert (len(pool.jobs) > before) == (pool._max_workers == 2)
+    assert set().union(*seen.values()) == {threading.get_ident()}
+    assert {"harness.run", "energy.train_classifier", "EnergySpec.weight", "flow.erfm_loss",
+            "metrics.evaluate_model", "metrics.mmd2", "metrics.measure_inference_ms",
+            "flow.save_model", "flow.load_model"} <= set(seen)

@@ -21,8 +21,12 @@ across checkouts) and the failed operations, and beside them the same
 summary of every per-layer metric over the traced runs, with their hashes
 and failed operations. For each end-to-end metric it also counts the seeds on
 which the last checkout beat the first, in the direction ``BENCHMARK.json``
-gives. Each checkout keeps perfbench's ``environment`` block and its git
-commit.
+gives, and records the last checkout's median gap relative to the first's
+median, the first's quartile spread relative to its median, and whether
+the gain rule of the choosing-metrics guide (section 8) holds: at least ten
+pairs, at least nine tenths of them won, and a gap in the better direction
+larger than that spread. Each checkout keeps perfbench's ``environment``
+block and its git commit.
 
 Uses the standard library only.
 """
@@ -124,6 +128,24 @@ def wins(first: list[dict], last: list[dict], better: dict[str, str]) -> dict[st
     return out
 
 
+def gaps(first: dict, last: dict, won: dict[str, str], better: dict[str, str]) -> dict[str, dict]:
+    """Per metric, from the ``_entry`` summaries of two checkouts and their
+    ``wins``: ``last``'s median gap relative to ``first``'s median, signed
+    as measured, ``first``'s quartile spread relative to its median, and
+    whether the gain rule holds (module docstring)."""
+    out = {}
+    for name, direction in better.items():
+        base = first["metrics"][name]
+        median = base["median"]
+        gap = (last["metrics"][name]["median"] - median) / median if median else 0.0
+        spread = (base["q3"] - base["q1"]) / median if median else 0.0
+        k, n = (int(part) for part in won[name].split("/"))
+        gain = gap if direction == "higher" else -gap
+        out[name] = {"median_gap": gap, "parent_spread": spread,
+                     "gain_rule_holds": n >= 10 and 10 * k >= 9 * n and gain > spread}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
@@ -166,8 +188,10 @@ def main(argv=None) -> int:
         entry["ckpt_sha256_equal"] = all(
             entry[label]["ckpt_sha256"] == entry[labels[0]]["ckpt_sha256"] for label in labels)
         if len(labels) > 1:
-            entry[f"wins_{labels[-1]}_over_{labels[0]}"] = wins(
-                by_label[labels[0]], by_label[labels[-1]], better)
+            first, last = labels[0], labels[-1]
+            won = wins(by_label[first], by_label[last], better)
+            entry[f"wins_{last}_over_{first}"] = won
+            entry[f"gaps_{last}_over_{first}"] = gaps(entry[first], entry[last], won, better)
         workloads[workload] = entry
 
     doc = {
