@@ -65,26 +65,23 @@ queued jobs are cancelled and the running ones awaited before the error
 leaves ``train``; a job's own error reaches the caller with its type.
 
 Sampling integrates the learned ODE with forward Euler over t in [0, 1].
-``_euler`` is the only Euler loop, and the public ``integrate`` runs it.
-Euler moves every point on its own (the field sees one row at a time),
-so ``FlowModel.push`` and ``trajectory`` take a batch apart once per call
-rather than once per step: ``diffcore.row_shares`` cuts it into one row
-share per pool thread where the bits cannot move (below 2,048 rows, with
-every stage's output layer over the whole batch at or below OpenBLAS's
-small-matrix cut-over of 10^6 multiply-adds; see ``diffcore.nn``), and
-``diffcore.run_shares`` runs the caller's share in the calling thread
-and the others on the pool, each through every Euler step of every chain
-stage without synchronising. The results are joined once, in row order.
-That is one pool hand-off per call instead of one per Euler step (125
-for a draw through a 25+100-step chain); the caller takes back any share
-the pool has not started, so a share never waits behind OT solves that
-are queued there. A share calls ``_euler`` and ``Mlp._forward_raw``,
-never ``integrate`` or ``forward_raw``: a tracer that wraps those sees
-one thread, and sees no per-step work of a shared call. Where no shares
-are taken (one share's worth of rows, 2,048 rows and more, or an output
-layer past the cut-over) a call integrates stage by stage through
-``integrate``, and ``forward_raw`` runs each step's row blocks. Either
-way every step refills one field input buffer per share.
+``_euler`` is the only Euler loop; the public ``integrate`` runs it.
+Euler moves every point on its own, so ``FlowModel.push`` and
+``trajectory`` take a batch apart once per call, not once per step: where
+``diffcore.nn.row_shares`` allows (below 2,048 rows, with every stage's
+output layer over the whole batch within the 10^6 multiply-adds of
+OpenBLAS's small-matrix kernel: a 64->2 layer kept its bits under cuts at
+multiples of 4 rows at 7,812 rows but not at 7,813; see ``diffcore.nn``)
+each pool thread carries one row share through every Euler step of every
+chain stage, and the results are joined once, in row order. That is one
+pool hand-off per call instead of one per step (125 for a draw through a
+25+100-step chain). ``diffcore.nn.run_shares`` runs the first share in the
+calling thread, which then takes back any share the pool has not started,
+so none waits behind queued OT solves. A share calls ``_euler`` and
+``Mlp._forward_raw``, never the ``integrate`` and ``forward_raw`` a tracer
+wraps. Otherwise a call integrates stage by stage through ``integrate``
+and ``forward_raw`` runs each step's row blocks. Every step refills one
+field input buffer per share.
 A model trained on top of another model's outputs keeps that parent in its
 chain, so generation always starts from the standard Gaussian root.
 """
@@ -460,7 +457,7 @@ class FlowModel:
 
     def push(self, x: np.ndarray, n_steps: int | None = None) -> np.ndarray:
         """Transport points through the whole chain ending at this field,
-        in row shares where ``diffcore.row_shares`` allows (module docstring)."""
+        in row shares where ``diffcore.nn.row_shares`` allows (module docstring)."""
         chain = self.chain
         return np.concatenate(_in_shares([stage.field for stage in chain], x,
                                          lambda rows, shared: _through_chain(chain, rows, n_steps, shared)))
@@ -636,9 +633,9 @@ def _euler(field_fn, x0: np.ndarray, n_steps: int, on_step=None) -> np.ndarray:
 
 def _in_shares(nets: list[Mlp], x: np.ndarray, run) -> list:
     """``run(rows, shared)`` on each row share of the points ``x`` that
-    ``diffcore.row_shares`` allows for ``nets``, in row order: on all of
+    ``diffcore.nn.row_shares`` allows for ``nets``, in row order: on all of
     ``x`` in the calling thread where it allows one share, else through
-    ``diffcore.run_shares`` (module docstring)."""
+    ``diffcore.nn.run_shares`` (module docstring)."""
     edges = row_shares(nets, len(x))
     if len(edges) == 2:
         return [run(x, False)]
@@ -663,7 +660,7 @@ def trajectory(
 
     Returns (t, batch) pairs including both endpoints; the final snapshot
     coincides with running the integrator to completion from x0. Rows go
-    in shares where ``diffcore.row_shares`` allows (module docstring).
+    in shares where ``diffcore.nn.row_shares`` allows (module docstring).
     """
     if k_snapshots < 2:
         raise ValueError("need at least the two endpoint snapshots")
