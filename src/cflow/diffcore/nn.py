@@ -18,10 +18,18 @@ gradient needs once, and returns a ``Tensor`` whose ``backward()`` calls
 buffers the network keeps for its last batch size, so a step allocates no
 activation arrays; ``backward`` takes only the cache of the last ``forward``.
 
-``forward_raw``, the inference pass every sampler, integrator and scorer
-goes through, has one hidden-layer loop, ``_hidden_rows``, which carries
-a contiguous run of rows through the hidden layers block by block; one
-matmul over all rows then applies the output layer. Below two blocks of
+``forward_raw``, the inference pass every scorer and unshared sampler
+goes through, carries a contiguous run of rows through the hidden layers
+block by block (``_hidden_rows``); one matmul over all rows then applies
+the output layer. The hidden layers of a block, and of a row share of a
+sampler, go through one loop, ``_run_hidden``, into arrays the caller
+owns: a run of blocks writes every block through one buffer pair, and a
+share sets up its plan once (``_layer_plan``) with each bias broadcast to
+the share's rows, since ``np.add(out, bias_rows, out=out)`` is the same
+IEEE add as ``out += b`` without numpy's row-at-a-time broadcast (35 ->
+19 us per 1,024x64 block). A run of blocks keeps the plain bias: tiling
+it in each run raised a ``generate`` benchmark run's peak RSS from 105.7
+to 111.5 MiB. Below two blocks of
 ``BLOCK_ROWS`` rows the calling thread runs it once, over all rows as one
 block. From two blocks up it uses the CPUs this process may run on: each
 thread of a persistent pool takes one run of whole blocks (the last run
@@ -56,8 +64,8 @@ of at every step. Forward Euler moves every point on its own, so
 share through every Euler step of every chain stage, one share per pool
 thread; ``run_shares`` hands them to the pool once per call. Shares are
 taken only where the bits cannot move: below ``2 * BLOCK_ROWS`` rows, so
-a share's own forward runs in its thread and no pool job submits
-another, and where every net's output layer over the whole batch is at
+a share's rows are one block, as ``forward_raw`` carries them in the
+calling thread, and no pool job submits another; and where every net's output layer over the whole batch is at
 or below ``SMALL_GEMM_MADDS``. Each share has at least ``SHARE_ROWS``
 rows and every cut falls on a multiple of 4 rows. Past the rule a
 sampler keeps one batch and ``forward_raw`` its per-step row blocks.
@@ -157,21 +165,45 @@ def _block_edges(lo: int, hi: int, parts: int) -> list[int]:
     return [lo + BLOCK_ROWS * (blocks * k // parts) for k in range(parts)] + [hi]
 
 
+def _buffers(layers, rows: int) -> list[np.ndarray]:
+    """The (rows, fan_out) arrays the outputs of ``layers`` over ``rows``
+    rows go to: views that take turns in two flat buffers, so a layer never
+    writes the rows it reads."""
+    size = rows * max((w.shape[1] for w, _ in layers), default=0)
+    bufs = np.empty(size), np.empty(size)
+    return [bufs[i % 2][: rows * w.shape[1]].reshape(rows, w.shape[1]) for i, (w, _) in enumerate(layers)]
+
+
+def _layer_plan(layers, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``layers`` set up once for ``rows`` rows: per layer its weights, its
+    bias broadcast to the rows and its output array (``_buffers``)."""
+    return [(w, np.repeat(b[None], rows, axis=0), out) for (w, b), out in zip(layers, _buffers(layers, rows))]
+
+
+def _run_hidden(h: np.ndarray, plan) -> np.ndarray:
+    """The rows ``h`` carried through the hidden layers of ``plan``, given
+    as (weights, bias, output array) per layer, as tanh(h @ w + b). Returns
+    the last layer's output."""
+    for w, bias, out in plan:
+        np.matmul(h, w, out=out)
+        # with a bias broadcast ahead of time, the same IEEE adds as
+        # ``out += b`` without numpy's row-at-a-time broadcast
+        np.add(out, bias, out=out)
+        np.tanh(out, out=out)
+        h = out
+    return h
+
+
 def _hidden_rows(layers, x: np.ndarray, hidden: np.ndarray, lo: int, hi: int) -> None:
     """Write the last hidden activation of rows ``lo:hi`` of ``x`` into the
-    same rows of ``hidden``, one block at a time."""
-    *inner, (w_last, b_last) = layers
+    same rows of ``hidden``, one block at a time through one buffer pair."""
     edges = _block_edges(lo, hi, (hi - lo) // BLOCK_ROWS)
+    # the last block is the largest
+    inner = _buffers(layers[:-1], hi - edges[-2])
     for start, stop in zip(edges[:-1], edges[1:]):
-        h = x[start:stop]
-        for w, b in inner:
-            h = h @ w
-            h += b
-            np.tanh(h, out=h)
-        out = hidden[start:stop]
-        np.matmul(h, w_last, out=out)
-        out += b_last
-        np.tanh(out, out=out)
+        n = stop - start
+        outs = [buf[:n] for buf in inner] + [hidden[start:stop]]
+        _run_hidden(x[start:stop], [(w, b, out) for (w, b), out in zip(layers, outs)])
 
 
 def _hidden(layers, x: np.ndarray) -> np.ndarray:
@@ -403,10 +435,6 @@ class Mlp:
         from ``2 * BLOCK_ROWS`` rows up (see the module docstring); the
         input is never written.
         """
-        return self._forward_raw(x)
-
-    def _forward_raw(self, x: np.ndarray) -> np.ndarray:
-        # forward_raw under a name no tracer wraps, for row shares on pool threads
         h = self._checked_input(x)
         *hidden, (w, b) = self.layers
         if hidden:

@@ -97,6 +97,35 @@ def test_traced_pairs_use_the_seeds_there_are(tmp_path):
     assert traced["metrics"]["flow.ot_coupling_s"]["median"] == 0.057
 
 
+def test_a_crashed_run_keeps_the_runs_that_finished(tmp_path):
+    parent = _checkout(tmp_path / "parent", speed=100.0)
+    change = _checkout(tmp_path / "change", speed=50.0)
+    # this checkout's second run crashes
+    (change / "perfbench" / "run.py").write_text(textwrap.dedent('''
+        import sys
+        from pathlib import Path
+        count = Path("count.txt")
+        count.write_text(str(int(count.read_text()) + 1 if count.exists() else 1))
+        if count.read_text() == "2":
+            sys.stderr.write("Traceback: boom\\n")
+            sys.exit(3)
+    ''') + FAKE_RUN)
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main(["--out", str(out), "--seeds", "1-3", "--workloads", "unlearn", "refit",
+                            "--checkout", f"parent={parent}", "--checkout", f"change={change}"]) == 1
+    assert (tmp_path / "calls.txt").read_text().split("\n") == ["1 parent", "1 change", ""]
+    doc = json.loads(out.read_text())
+    entry = doc["workloads"]["unlearn"]
+    assert entry["parent"]["metrics"]["op_ms_p50"]["values"] == [101.0]
+    assert entry["change"]["metrics"]["op_ms_p50"]["values"] == [51.0]
+    assert entry["change"]["traced"]["metrics"] == {}
+    assert doc["workloads"]["refit"]["parent"]["metrics"] == {}
+    assert doc["checkouts"]["change"]["environment"]["src_cflow_lines"] == 7
+    failed = doc["failed_run"]
+    assert "--workload unlearn --seed 2" in failed["command"] and failed["cwd"] == str(change)
+    assert failed["exit"] == 3 and "boom" in failed["stderr_tail"]
+
+
 def test_gaps_and_the_gain_rule(tmp_path):
     parent = _checkout(tmp_path / "parent", speed=100.0)
     change = _checkout(tmp_path / "change", speed=50.0)

@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cflow import datasets as ds
 from cflow import energy as en
 from cflow import flow
 from cflow.config import ConfigError
-from cflow.diffcore import Mlp, velocity_mlp
+from cflow.diffcore import Mlp, nn, velocity_mlp
 
 
 def brute_force_assignment_cost(x0, x1):
@@ -289,6 +290,43 @@ class TestSamplingAndTrajectory:
         assert [k for k, _ in seen] == list(range(1, 11))
         np.testing.assert_array_equal(seen[-1][1], out)
         np.testing.assert_array_equal(out, snaps[-1][1])
+
+    def test_on_step_gets_every_state_as_its_own_array(self):
+        def field(t, x):
+            return np.sin(x) + t
+
+        x0 = np.random.default_rng(2).normal(size=(7, 2))
+        kept = []
+        out = flow.integrate(field, x0, 6, on_step=lambda k, x: kept.append((k, x)))
+        assert [k for k, _ in kept] == list(range(1, 7))
+        x, dt = x0, 1.0 / 6
+        for k, state in kept:
+            x = x + dt * field((k - 1) * dt, x)
+            np.testing.assert_array_equal(state, x)
+        np.testing.assert_array_equal(out, x)
+        states = [x0] + [state for _, state in kept]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(states, 2))
+
+    @pytest.mark.parametrize("n", [100, 1000], ids=["one-share", "two-shares"])
+    @pytest.mark.parametrize("hidden", [(), (64, 32)], ids=["linear", "64-32"])
+    def test_trajectory_snapshots_are_separate_states(self, monkeypatch, n, hidden):
+        executor = ThreadPoolExecutor(2)
+        monkeypatch.setattr(nn, "_pool", nn._Pool(executor, 2))
+        net = Mlp([3, *hidden, 2], seed=5)
+        for _, b in net.layers:
+            b[...] = 0.1
+        model = flow.FlowModel(net, n_steps=8)
+        assert len(nn.row_shares([net], n)) == (2 if n == 100 else 3)
+        x0 = np.random.default_rng(n).normal(size=(n, 2))
+        snaps = flow.trajectory(model, x0, 8, 9)
+        executor.shutdown()
+        x, dt = x0, 1.0 / 8
+        for k, (t, state) in enumerate(snaps):
+            assert t == k * dt
+            np.testing.assert_array_equal(state, x)
+            x = x + dt * net.forward_raw(np.column_stack([x, np.full(n, t)]))
+        states = [x0] + [state for _, state in snaps]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(states, 2))
 
     def test_trajectory_zero_field_all_identical(self):
         model = constant_field_model([0.0, 0.0])

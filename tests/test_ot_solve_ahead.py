@@ -150,6 +150,44 @@ def test_a_failing_step_leaves_no_job_behind(pool, monkeypatch):
     assert any(job.cancelled() for job in pool.jobs)
 
 
+def test_an_early_error_leaves_train_without_waiting_for_a_held_pool(pool):
+    # every pool thread is busy, so the jobs train queues never start; its
+    # third draw fails before the first step, and the error must not wait
+    # for the pool to dequeue the cancelled jobs
+    release = threading.Event()
+    held = [pool.submit(release.wait, 60) for _ in range(pool._max_workers)]
+    source = pool_source()
+    sample = source.sample
+    draws = []
+
+    def fail_third(n):
+        draws.append(n)
+        if len(draws) == 3:
+            raise RuntimeError("draw failed")
+        return sample(n)
+
+    source.sample = fail_third
+    cfg = flow.TrainConfig(steps=20, batch=16, hidden=(8,))
+    raised = []
+
+    def call():
+        with pytest.raises(RuntimeError, match="draw failed"):
+            flow.train(cfg, source, ds.generate("circles", 64, 0), mode="refit-ot")
+        raised.append(True)
+
+    caller = threading.Thread(target=call)
+    try:
+        caller.start()
+        caller.join(timeout=20)
+        assert not caller.is_alive(), "train waited for the held pool"
+    finally:
+        release.set()
+        caller.join(timeout=60)
+    assert raised == [True]
+    queued = [job for job in pool.jobs if job not in held]
+    assert len(queued) == 2 and all(job.cancelled() for job in queued)
+
+
 # the entry points perfbench/layers.py wraps; its tracer records spans from
 # one thread only
 TRACED = [

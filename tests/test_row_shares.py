@@ -16,7 +16,8 @@ from cflow.datasets import GaussianSampler
 from cflow.diffcore import Mlp, nn
 
 ROWS = [1, 2, 127, 255, 256, 257, 511, 1000, 2047, 2048, 12288]
-HIDDEN = {"64x3": (64, 64, 64), "8": (8,), "512": (512,)}
+# "64-32-8": widths that change from layer to layer, through reused buffers
+HIDDEN = {"64x3": (64, 64, 64), "8": (8,), "512": (512,), "64-32-8": (64, 32, 8)}
 
 
 class RecordingExecutor(ThreadPoolExecutor):
@@ -157,19 +158,19 @@ def test_small_batches_start_no_pool(monkeypatch):
 def test_the_caller_runs_the_first_share_and_the_pool_the_others(monkeypatch):
     executor = use_pool(monkeypatch, 2)
     threads = []
-    forward = Mlp._forward_raw
+    share_steps = flow._share_steps
 
-    def spy(self, x):
+    def spy(stages, x0, keep):
         threads.append(threading.current_thread())
-        return forward(self, x)
+        return share_steps(stages, x0, keep)
 
-    monkeypatch.setattr(Mlp, "_forward_raw", spy)
+    monkeypatch.setattr(flow, "_share_steps", spy)
     model = chain(HIDDEN["8"])
     model.sample(1000, seed=2)
     executor.shutdown()
-    steps = sum(s.n_steps for s in model.chain)
-    assert len(threads) == 2 * steps
-    assert threads.count(threading.current_thread()) >= steps
+    # one call per share, each through every step of the chain
+    assert len(threads) == 2
+    assert threads.count(threading.current_thread()) >= 1
     assert len(executor.jobs) == 1
 
 
@@ -177,10 +178,10 @@ def test_the_caller_runs_the_first_share_and_the_pool_the_others(monkeypatch):
 def test_a_share_error_reaches_the_caller_and_no_share_outlives_the_call(monkeypatch, where):
     executor = use_pool(monkeypatch, 2)
     caller = threading.current_thread()
-    forward = Mlp._forward_raw
+    share_steps = flow._share_steps
     pool_started = threading.Event()
 
-    def fail_in_one_share(self, x):
+    def fail_in_one_share(stages, x0, keep):
         on_caller = threading.current_thread() is caller
         if not on_caller:
             pool_started.set()
@@ -189,15 +190,15 @@ def test_a_share_error_reaches_the_caller_and_no_share_outlives_the_call(monkeyp
             pool_started.wait(timeout=30)
         if on_caller == (where == "caller"):
             raise KeyError("share failed")
-        return forward(self, x)
+        return share_steps(stages, x0, keep)
 
-    monkeypatch.setattr(Mlp, "_forward_raw", fail_in_one_share)
+    monkeypatch.setattr(flow, "_share_steps", fail_in_one_share)
     model = chain(HIDDEN["8"])
     with pytest.raises(KeyError, match="share failed"):
         model.sample(1000, seed=3)
     assert executor.jobs and all(job.done() for job in executor.jobs)
     # the pool survives a failed call
-    monkeypatch.setattr(Mlp, "_forward_raw", forward)
+    monkeypatch.setattr(flow, "_share_steps", share_steps)
     np.testing.assert_array_equal(model.sample(1000, seed=3), serial_push(model, GaussianSampler(3).sample(1000)))
     executor.shutdown()
 

@@ -28,6 +28,11 @@ pairs, at least nine tenths of them won, and a gap in the better direction
 larger than that spread. Each checkout keeps perfbench's ``environment``
 block and its git commit.
 
+When a run crashes, prints no result or times out, the runs that finished
+are still written, beside a ``failed_run`` entry with that run's command,
+directory, exit code (null on a timeout) and the tail of its standard
+error, and the command exits 1.
+
 Uses the standard library only.
 """
 
@@ -67,14 +72,30 @@ def _commit(root: Path) -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
+class RunFailed(RuntimeError):
+    """A perfbench run that gave no result; ``record`` says which and why."""
+
+    def __init__(self, record: dict):
+        super().__init__(f"{record['command']} in {record['cwd']} exited {record['exit']}: "
+                         f"{record['stderr_tail']}")
+        self.record = record
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
-    """One perfbench run: its metrics, environment, hashes and failures."""
+    """One perfbench run: its metrics, environment, hashes and failures.
+    ``RunFailed`` when it crashes, prints no result or times out."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=20 * seconds + 900)
+    failed = {"command": " ".join(cmd), "cwd": str(root)}
+    try:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=20 * seconds + 900)
+    except subprocess.TimeoutExpired as exc:
+        # the captured output of a timed-out run is bytes whatever ``text`` says
+        stderr = exc.stderr.decode(errors="replace") if isinstance(exc.stderr, bytes) else exc.stderr or ""
+        raise RunFailed({**failed, "exit": None, "stderr_tail": stderr[-2000:]}) from None
     lines = proc.stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}: {proc.stderr[-2000:]}")
+        raise RunFailed({**failed, "exit": proc.returncode, "stderr_tail": proc.stderr[-2000:]})
     last = json.loads(lines[-1])
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     shas = [line.split()[2] for line in lines if line.startswith("ckpt_sha256 ")]
@@ -98,8 +119,9 @@ def summary(values: list[float]) -> dict:
 
 def _entry(results: list[dict]) -> dict:
     """The runs of one checkout on one workload as the BENCH file keeps them:
-    a summary of every metric over the seeds, with counts and hashes."""
-    units = results[0]["units"]
+    a summary of every metric over the seeds, with counts and hashes (no
+    metrics when a failed run left none)."""
+    units = results[0]["units"] if results else {}
     return {
         "metrics": {name: {"unit": units[name], **summary([r["metrics"][name] for r in results])}
                     for name in units},
@@ -165,21 +187,27 @@ def main(argv=None) -> int:
     traced_seeds = args.seeds[:TRACED_SEEDS]
     runs = {w: {label: [] for label in labels} for w in args.workloads}
     traced = {w: {label: [] for label in labels} for w in args.workloads}
-    for workload in args.workloads:
-        for seed, label in _pairs(args.seeds, labels):
-            result = run_once(roots[label], workload, seed, args.seconds)
-            runs[workload][label].append(result)
-            shown = " ".join(f"{k}={v:.4g}" for k, v in result["metrics"].items())
-            print(f"{workload} seed={seed} {label}: failed={result['failed']} {shown}", flush=True)
-        for seed, label in _pairs(traced_seeds, labels):
-            result = run_once(roots[label], workload, seed, args.seconds, trace=True)
-            traced[workload][label].append(result)
-            print(f"{workload} seed={seed} {label} traced: failed={result['failed']}", flush=True)
+    failed_run = None
+    try:
+        for workload in args.workloads:
+            for seed, label in _pairs(args.seeds, labels):
+                result = run_once(roots[label], workload, seed, args.seconds)
+                runs[workload][label].append(result)
+                shown = " ".join(f"{k}={v:.4g}" for k, v in result["metrics"].items())
+                print(f"{workload} seed={seed} {label}: failed={result['failed']} {shown}", flush=True)
+            for seed, label in _pairs(traced_seeds, labels):
+                result = run_once(roots[label], workload, seed, args.seconds, trace=True)
+                traced[workload][label].append(result)
+                print(f"{workload} seed={seed} {label} traced: failed={result['failed']}", flush=True)
+    except RunFailed as exc:
+        failed_run = exc.record
+        print(f"stopped: {exc}", file=sys.stderr, flush=True)
 
     checkouts = {}
     for label in labels:
-        first = next(r for w in args.workloads for r in runs[w][label])
-        checkouts[label] = {"commit": _commit(roots[label]), "environment": first["environment"]}
+        first = next((r for w in args.workloads for r in runs[w][label]), None)
+        checkouts[label] = {"commit": _commit(roots[label]),
+                            "environment": first["environment"] if first else None}
     workloads = {}
     for workload, by_label in runs.items():
         entry = {}
@@ -187,7 +215,7 @@ def main(argv=None) -> int:
             entry[label] = {**_entry(results), "traced": _entry(traced[workload][label])}
         entry["ckpt_sha256_equal"] = all(
             entry[label]["ckpt_sha256"] == entry[labels[0]]["ckpt_sha256"] for label in labels)
-        if len(labels) > 1:
+        if len(labels) > 1 and all(by_label[label] for label in labels):
             first, last = labels[0], labels[-1]
             won = wins(by_label[first], by_label[last], better)
             entry[f"wins_{last}_over_{first}"] = won
@@ -204,9 +232,11 @@ def main(argv=None) -> int:
         "checkouts": checkouts,
         "workloads": workloads,
     }
+    if failed_run is not None:
+        doc["failed_run"] = failed_run
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out}")
-    return 0
+    return 0 if failed_run is None else 1
 
 
 if __name__ == "__main__":
