@@ -86,8 +86,8 @@ place by ``np.multiply(v, dt, out=v)`` then ``np.add(x, v, out=x)``, the
 same IEEE products and sums as ``x + dt * v``. A step then makes no array
 and calls no Python function but the hidden-layer loop, so a share holds
 the GIL for less of it: through the 25+100-step chain of 64x64x64 fields,
-one 128-row share alone took 15.5 ms and two together (one per thread)
-21.7 ms, where the per-step field calls took 18.0 and 27.8 ms (medians of
+one 128-row share alone took 16.3 ms and two together (one per thread)
+23.1 ms, where the per-step field calls took 18.6 and 29.6 ms (medians of
 6 alternating rounds in one process, 2-vCPU Xeon VM, one BLAS thread).
 ``trajectory`` copies the state at its marks only. A share calls no name
 a tracer wraps. Where ``row_shares`` takes no shares a call integrates
