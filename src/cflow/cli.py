@@ -233,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         CheckpointError,
         AutodiffError,
         flow.FullySuppressedBatchError,
+        ImportError,  # flow.ot_solver's scipy, imported on first use
         ValueError,
         TypeError,
         OSError,

@@ -7,7 +7,8 @@ built (unknown keys are rejected), so a bad config fails before any stage
 touches its directory. A run produces artifacts under ``<out>/<stage>/``:
 
     config.yaml   resolved spec echoed verbatim (re-runnable on its own)
-    meta.yaml     seed, stage, config hash; BLAS threads, inference threads, CPUs
+    meta.yaml     seed, stage, config hash; BLAS threads, inference threads, CPUs;
+                  Python, numpy and scipy versions
     ckpt.bin      model checkpoint
     loss.csv      per-step training loss (plus OT costs when applicable)
     traj.csv      integration snapshots of the trained stage
@@ -32,7 +33,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.metadata
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
@@ -285,6 +288,15 @@ def _require_ckpt(spec: ExperimentSpec, pipeline: str) -> Path:
     return path
 
 
+def _dist_version(name: str) -> str | None:
+    """The installed version of ``name``, read from its package metadata so
+    that scipy is not imported for it; None when it is not installed."""
+    try:
+        return importlib.metadata.version(name)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def _write_yaml(path: Path, data: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
@@ -381,14 +393,16 @@ def run_stage(
     with a prior starts from it. ``lam`` overrides the energy
     scale (the sweep's grid); invert uses ``invert_lam`` when it is set.
 
-    The config (with the coupling its mode trains with), prior, classifier,
-    target and source are resolved before the stage directory is touched;
+    The config (with the coupling its mode trains with, and for OT the
+    solver's import), prior, classifier, target and source are resolved
+    before the stage directory is touched;
     the one classifier is both the classifier energy and the stage's judge.
     ``ckpt.bin`` marks a finished stage, so a stale one is removed before
     training and the new one is written last, atomically.
     """
     stage = STAGES[pipeline]
-    flow.train_coupling(stage.mode, spec.train.coupling)
+    if flow.train_coupling(stage.mode, spec.train.coupling) == "ot":
+        flow.ot_solver()
     prior = flow.load_model(_require_ckpt(spec, stage.prior)) if stage.prior else None
     stage_dir = stage_dir or Path(spec.out) / stage.dir
 
@@ -439,6 +453,9 @@ def run_stage(
         "blas_threads": blas_threads(),
         "inference_threads": inference_threads(),
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": _dist_version("numpy"),
+        "scipy": _dist_version("scipy"),
     })
     trace = model.loss_trace
     loss_rows = ((i, *row) for i, row in enumerate(zip_longest(*trace.values())))

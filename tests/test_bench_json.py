@@ -14,7 +14,9 @@ _spec.loader.exec_module(bench_json)
 
 # prints what perfbench/run.py prints; op_ms_p50 is the checkout's speed
 # file plus the seed, a traced run prints one per-layer metric instead, and
-# each run logs its seed, checkout and tracing one level up
+# each run logs its seed, checkout and tracing one level up. Like run.py it
+# writes its result.json (unless the checkout holds ``no_result``), with
+# import_s seed / 100 and two warm-up operations of ms / 1000 and 1 s
 FAKE_RUN = textwrap.dedent('''
     import json, sys
     from pathlib import Path
@@ -23,6 +25,11 @@ FAKE_RUN = textwrap.dedent('''
     with open("../calls.txt", "a") as fh:
         fh.write(f"{seed} {Path.cwd().name}{' traced' if args['--trace'] == '1' else ''}\\n")
     ms = float(Path("speed.txt").read_text()) + seed
+    if not Path("no_result").exists():
+        work = Path(".perfbench_work", f"{args['--workload']}-trace{args['--trace']}")
+        work.mkdir(parents=True, exist_ok=True)
+        ops = [["warmup-0", "stage", ms / 1000.0], ["warmup-1", "stage", 1.0], ["op-0", "stage", 9.0]]
+        (work / "result.json").write_text(json.dumps({"import_s": seed / 100.0, "ops": ops}))
     print("env " + json.dumps({"blas_threads": 1, "src_cflow_lines": 7}))
     print(f"ckpt_sha256 {args['--workload']} sha{seed}")
     metrics = {"op_ms_p50": {"value": ms, "unit": "ms"},
@@ -83,6 +90,28 @@ def test_writes_pairs_in_alternating_order(tmp_path):
     assert traced["ckpt_sha256"] == {"1": ["sha1"], "2": ["sha2"], "3": ["sha3"]}
     assert entry["parent"]["traced"]["metrics"]["flow.ot_coupling_s"]["median"] == 0.102
     assert "flow.ot_coupling_s" not in entry["parent"]["metrics"]
+    # import time and warm-up operations, per seed and summarised, outside the metrics
+    startup = entry["change"]["startup"]
+    assert startup["by_seed"]["3"] == {"import_s": 0.03, "warmup_s": [0.053, 1.0]}
+    assert startup["import_s"]["values"] == [0.01, 0.02, 0.03, 0.04]
+    assert startup["warmup_s"]["values"] == pytest.approx([1.051, 1.052, 1.053, 1.054])
+    assert traced["startup"]["import_s"]["values"] == [0.01, 0.02, 0.03]
+    assert set(entry["gaps_change_over_parent"]) == {"op_ms_p50", "work_per_s"}
+
+
+def test_a_run_without_its_result_file_records_null(tmp_path):
+    parent = _checkout(tmp_path / "parent", speed=100.0)
+    change = _checkout(tmp_path / "change", speed=50.0)
+    (parent / "no_result").touch()
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main(["--out", str(out), "--seeds", "1-2", "--workloads", "refit",
+                            "--checkout", f"parent={parent}", "--checkout", f"change={change}"]) == 0
+    entry = json.loads(out.read_text())["workloads"]["refit"]
+    assert entry["parent"]["startup"] == {"import_s": None, "warmup_s": None,
+                                          "by_seed": {"1": None, "2": None}}
+    assert entry["parent"]["traced"]["startup"]["by_seed"] == {"1": None, "2": None}
+    assert entry["change"]["startup"]["import_s"]["median"] == 0.015
+    assert entry["parent"]["metrics"]["op_ms_p50"]["values"] == [101.0, 102.0]
 
 
 def test_traced_pairs_use_the_seeds_there_are(tmp_path):

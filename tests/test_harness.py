@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import importlib.metadata
 import math
 import os
+import platform
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -195,6 +197,9 @@ class TestStages:
         assert meta["blas_threads"] == blas_threads()
         assert meta["inference_threads"] == inference_threads()
         assert meta["cpu_count"] == os.cpu_count()
+        assert meta["python"] == platform.python_version()
+        assert meta["numpy"] == importlib.metadata.version("numpy")
+        assert meta["scipy"] == importlib.metadata.version("scipy")
         rows = harness.read_report_csv(d / "report.csv")
         assert len(rows) == 1
         assert rows[0].method == "learn"

@@ -19,7 +19,13 @@ median and quartiles of every end-to-end metric over the seeds, the
 per-seed values, the checkpoint hashes per seed (and whether they agree
 across checkouts) and the failed operations, and beside them the same
 summary of every per-layer metric over the traced runs, with their hashes
-and failed operations. For each end-to-end metric it also counts the seeds on
+and failed operations. Outside the metrics, ``startup`` keeps what each run
+wrote to ``.perfbench_work/<workload>-trace<t>/result.json``: its
+``import_s`` and the wall times of its warm-up operations (the ``warmup-``
+entries of ``ops``), per seed (null for a run that wrote no such file) and
+summarised over the seeds, the warm-up times as their sum per run. They show
+work that moves between set-up and a first operation, and no gain is
+counted on them. For each end-to-end metric it also counts the seeds on
 which the last checkout beat the first, in the direction ``BENCHMARK.json``
 gives, and records the last checkout's median gap relative to the first's
 median, the first's quartile spread relative to its median, and whether
@@ -108,7 +114,19 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool =
         "units": {k: m["unit"] for k, m in last["metrics"].items()},
         "environment": env,
         "ckpt_sha256": shas,
+        "startup": _startup(root / ".perfbench_work" / f"{workload}-trace{int(trace)}" / "result.json"),
     }
+
+
+def _startup(path: Path) -> dict | None:
+    """A run's ``import_s`` and warm-up operation wall times from its
+    ``result.json``, or None when the run wrote none."""
+    try:
+        result = json.loads(path.read_text())
+    except FileNotFoundError:
+        return None
+    warmup = [wall_s for op, _, wall_s in result["ops"] if op.startswith("warmup-")]
+    return {"import_s": result["import_s"], "warmup_s": warmup}
 
 
 def summary(values: list[float]) -> dict:
@@ -120,8 +138,14 @@ def summary(values: list[float]) -> dict:
 def _entry(results: list[dict]) -> dict:
     """The runs of one checkout on one workload as the BENCH file keeps them:
     a summary of every metric over the seeds, with counts and hashes (no
-    metrics when a failed run left none)."""
+    metrics when a failed run left none), and the ``startup`` figures."""
     units = results[0]["units"] if results else {}
+    started = [r["startup"] for r in results if r["startup"] is not None]
+    startup = {
+        "import_s": summary([s["import_s"] for s in started]) if started else None,
+        "warmup_s": summary([sum(s["warmup_s"]) for s in started]) if started else None,
+        "by_seed": {str(r["seed"]): r["startup"] for r in results},
+    }
     return {
         "metrics": {name: {"unit": units[name], **summary([r["metrics"][name] for r in results])}
                     for name in units},
@@ -129,6 +153,7 @@ def _entry(results: list[dict]) -> dict:
         "failed": sum(r["failed"] for r in results),
         "nonzero_exits": sum(r["exit"] != 0 for r in results),
         "ckpt_sha256": {str(r["seed"]): r["ckpt_sha256"] for r in results},
+        "startup": startup,
     }
 
 
