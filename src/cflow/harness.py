@@ -32,6 +32,7 @@ reproduces its checkpoints bit-exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import importlib.metadata
 import os
@@ -288,6 +289,7 @@ def _require_ckpt(spec: ExperimentSpec, pipeline: str) -> Path:
     return path
 
 
+@functools.cache  # a lookup parses the package's metadata: 4 ms for scipy
 def _dist_version(name: str) -> str | None:
     """The installed version of ``name``, read from its package metadata so
     that scipy is not imported for it; None when it is not installed."""

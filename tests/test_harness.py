@@ -7,6 +7,9 @@ import math
 import os
 import platform
 import shutil
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
 from pathlib import Path
 
@@ -759,3 +762,81 @@ class TestCli:
                          "--out", str(tmp_path / "scored.csv")]) == 4
         err = capsys.readouterr().err
         assert f"{pts_csv}, {message}" in err and err.count("\n") == 1
+
+
+# a fresh interpreter running the command line, since this process has
+# imported scipy already; ``flow.ot_solver`` imports it on first use
+BLOCK_SOLVER = "import sys; sys.modules['scipy.optimize'] = None\n"
+FRESH_CLI = "import sys\nfrom cflow import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+# records the thread of every scipy module load: a finder at the head of
+# sys.meta_path is asked only for modules not yet in sys.modules
+WATCH_SCIPY = textwrap.dedent("""
+    import sys, threading
+
+    class Watch:
+        loads = []
+
+        @classmethod
+        def find_spec(cls, name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                cls.loads.append((name, threading.get_ident()))
+
+    sys.meta_path.insert(0, Watch)
+""")
+
+
+def run_python(code: str, *argv) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=600)
+
+
+class TestScipyOnlyForOt:
+    def test_only_ot_training_imports_scipy_and_on_the_calling_thread(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.yaml", tiny_config(tmp_path))
+        run = tmp_path / "run"
+        code = WATCH_SCIPY + textwrap.dedent(f"""
+            import cflow, cflow.cli
+            from cflow.cli import main
+
+            def cflow_(*argv):
+                if main(list(argv)) != 0:
+                    sys.exit(f"cflow {{argv[0]}} failed")
+
+            cfg, run = {str(cfg)!r}, {str(run)!r}
+            cflow_("train", "--config", cfg)
+            cflow_("unlearn", "--config", cfg)
+            ckpt = run + "/unlearn/ckpt.bin"
+            cflow_("sample", "--ckpt", ckpt, "--n", "64", "--steps", "5", "--out", run + "/s.csv")
+            cflow_("traj", "--ckpt", ckpt, "--n", "16", "--steps", "5", "--out", run + "/t.csv")
+            cflow_("eval", "run", "--ckpt", ckpt, "--dataset", "circles", "--classifier",
+                   run + "/classifier/classifier.bin", "--n", "128", "--seeds", "0", "--out", run + "/r.csv")
+            before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+            # flow.train itself, as a library caller runs it; the OT jobs run on the pool
+            from cflow import datasets, flow
+            source = flow.ModelSampler(flow.load_model(run + "/learn/ckpt.bin"), seed=4)
+            flow.train(flow.TrainConfig(steps=20, batch=32, hidden=(8,)), source,
+                       datasets.generate("circles", 64, 0), mode="refit-ot")
+            on_caller = sorted({{thread == threading.get_ident() for _, thread in Watch.loads}})
+            print(before, "scipy.optimize" in sys.modules, on_caller)
+        """)
+        out = run_python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[] True [True]", out.stdout
+        assert yaml.safe_load((run / "unlearn" / "meta.yaml").read_text())["scipy"] is not None
+
+    def test_a_missing_solver_refuses_refit_before_it_changes_a_file(self, learned_cli_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(learned_cli_run, run)
+        cfg = write_config(tmp_path / "exp.yaml", tiny_config(tmp_path))
+        assert cli.main(["refit", "--config", str(cfg)]) == 0
+        before = read_tree(run)
+
+        out = run_python(BLOCK_SOLVER + FRESH_CLI, "refit", "--config", cfg)
+        assert out.returncode == 4, out.stderr
+        assert out.stderr.startswith("error: the ot coupling needs scipy") and out.stderr.count("\n") == 1
+        assert read_tree(run) == before
+
+        # a stage that does not solve OT runs without it
+        out = run_python(BLOCK_SOLVER + FRESH_CLI, "train", "--config", cfg)
+        assert out.returncode == 0, out.stderr
