@@ -67,11 +67,11 @@ leaves ``train``; a job's own error reaches the caller with its type.
 The OT coupling is the one user of scipy, so ``ot_solver`` imports scipy's
 ``linear_sum_assignment`` on first use and nothing else does: a process
 that never couples by OT never imports scipy, which took 0.39-0.45 s of a
-0.6 s ``import cflow.cli`` and about 40 MiB of peak RSS (2-vCPU Xeon VM).
-The first load runs on the thread that asked for OT, never in a pool job:
-``_ot_steps`` calls ``ot_solver`` before it submits a job, and
-``harness.run_stage`` before it changes the stage directory, so a missing
-scipy fails an OT stage before it starts.
+0.6 s ``import cflow.cli`` and 38 MiB of a benchmark run's peak RSS
+(2-vCPU Xeon VM). The first load runs on the thread that asked for OT,
+never in a pool job: ``_ot_steps`` calls ``ot_solver`` before it submits a
+job, and ``harness.run_stage`` before it changes the stage directory, so a
+missing scipy fails an OT stage before it starts.
 
 Sampling integrates the learned ODE with forward Euler over t in [0, 1].
 Euler moves every point on its own, so ``FlowModel.push`` and

@@ -768,18 +768,18 @@ class TestCli:
 # imported scipy already; ``flow.ot_solver`` imports it on first use
 BLOCK_SOLVER = "import sys; sys.modules['scipy.optimize'] = None\n"
 FRESH_CLI = "import sys\nfrom cflow import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
-# records the thread of every scipy module load: a finder at the head of
+# records the threads that load a scipy module: a finder at the head of
 # sys.meta_path is asked only for modules not yet in sys.modules
 WATCH_SCIPY = textwrap.dedent("""
     import sys, threading
 
     class Watch:
-        loads = []
+        threads = set()
 
         @classmethod
         def find_spec(cls, name, path=None, target=None):
             if name.partition(".")[0] == "scipy":
-                cls.loads.append((name, threading.get_ident()))
+                cls.threads.add(threading.get_ident())
 
     sys.meta_path.insert(0, Watch)
 """)
@@ -817,12 +817,11 @@ class TestScipyOnlyForOt:
             source = flow.ModelSampler(flow.load_model(run + "/learn/ckpt.bin"), seed=4)
             flow.train(flow.TrainConfig(steps=20, batch=32, hidden=(8,)), source,
                        datasets.generate("circles", 64, 0), mode="refit-ot")
-            on_caller = sorted({{thread == threading.get_ident() for _, thread in Watch.loads}})
-            print(before, "scipy.optimize" in sys.modules, on_caller)
+            print(before, "scipy.optimize" in sys.modules, Watch.threads == {{threading.get_ident()}})
         """)
         out = run_python(code)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "[] True [True]", out.stdout
+        assert out.stdout.splitlines()[-1] == "[] True True", out.stdout
         assert yaml.safe_load((run / "unlearn" / "meta.yaml").read_text())["scipy"] is not None
 
     def test_a_missing_solver_refuses_refit_before_it_changes_a_file(self, learned_cli_run, tmp_path):
