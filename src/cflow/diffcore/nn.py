@@ -18,25 +18,26 @@ gradient needs once, and returns a ``Tensor`` whose ``backward()`` calls
 buffers the network keeps for its last batch size, so a step allocates no
 activation arrays; ``backward`` takes only the cache of the last ``forward``.
 
-``forward_raw``, the inference pass every scorer and unshared sampler
-goes through, carries a contiguous run of rows through the hidden layers
-block by block (``_hidden_rows``); one matmul over all rows then applies
-the output layer. The hidden layers of a block, and of a row share of a
-sampler, go through one loop, ``_run_hidden``, into arrays the caller
-owns: a run of blocks writes every block through one buffer pair, and a
-share sets up its plan once (``_layer_plan``) with each bias broadcast to
-the share's rows, since ``np.add(out, bias_rows, out=out)`` is the same
-IEEE add as ``out += b`` without numpy's row-at-a-time broadcast (35 ->
-19 us per 1,024x64 block). A run of blocks keeps the plain bias: tiling
-it in each run raised a ``generate`` benchmark run's peak RSS from 105.7
-to 111.5 MiB. Below two blocks of
-``BLOCK_ROWS`` rows the calling thread runs it once, over all rows as one
-block. From two blocks up it uses the CPUs this process may run on: each
-thread of a persistent pool takes one run of whole blocks (the last run
-also takes the remainder). numpy releases the GIL inside matmul and
-``tanh``, so the runs go in parallel. The result is bit-identical to one
-run over all rows, because of two rules, measured with numpy 2.4.6 and
-its bundled OpenBLAS 0.3.31 on one BLAS thread on an AVX-512 Xeon:
+``forward_raw``, the inference pass of every scorer and of
+``FlowModel.velocity``, carries a contiguous run of rows through the hidden
+layers block by block (``_hidden_rows``); one matmul over all rows then
+applies the output layer. The hidden layers of a block, and of a
+sampler's range below two blocks, go through one loop, ``_run_hidden``,
+into arrays the caller owns: a run of blocks writes every block through
+one buffer pair, and a sampler's range sets up its plan once
+(``_layer_plan``) with each bias broadcast to its rows, since
+``np.add(out, bias_rows, out=out)`` is the same IEEE add as ``out += b``
+without numpy's row-at-a-time broadcast (35 -> 19 us per 1,024x64 block).
+A run of blocks keeps the plain bias: tiling it in each run raised a
+``generate`` benchmark run's peak RSS from 105.7 to 111.5 MiB. Below two
+blocks of ``BLOCK_ROWS`` rows ``_hidden`` carries all rows as one block on
+the calling thread. From two blocks up it cuts the rows into one
+run of whole blocks per pool thread (the last run also takes the
+remainder) and hands them out through ``run_shares``. numpy releases the
+GIL inside matmul and ``tanh``, so the runs go in parallel. The result is
+bit-identical to one run over all rows, because of two rules, measured
+with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on one BLAS thread on an
+AVX-512 Xeon:
 
 * A hidden layer gives every row the same bits whichever row range it is
   computed in, as long as the range has more than one row: ranges cut at
@@ -65,18 +66,20 @@ share through every Euler step of every chain stage, one share per pool
 thread; ``run_shares`` hands them to the pool once per call. Shares are
 taken only where the bits cannot move: below ``2 * BLOCK_ROWS`` rows, so
 a share's rows are one block, as ``forward_raw`` carries them in the
-calling thread, and no pool job submits another; and where every net's output layer over the whole batch is at
-or below ``SMALL_GEMM_MADDS``. Each share has at least ``SHARE_ROWS``
-rows and every cut falls on a multiple of 4 rows. Past the rule a
-sampler keeps one batch and ``forward_raw`` its per-step row blocks.
+calling thread, and no pool job submits another; and where every net's
+output layer over the whole batch is at or below ``SMALL_GEMM_MADDS``.
+Each share has at least ``SHARE_ROWS`` rows and every cut falls on a
+multiple of 4 rows. Past the rule a sampler keeps the batch as one range
+on the calling thread, and from two blocks up its step loop runs the
+hidden layers through ``_hidden`` at every step.
 
-``inference_pool`` is the process's one worker pool. Besides row blocks
-and row shares it runs ``flow.train``'s minibatch-OT solves ahead of the
+``inference_pool`` is the process's one worker pool. Besides row shares
+and row blocks it runs ``flow.train``'s minibatch-OT solves ahead of the
 training step. No job submits another, and no job waits on one, so the
-pool cannot deadlock. A caller that hands out row shares runs the first
-one itself and, once it is done, takes back every share the pool has not
-started, so a share never waits behind solves already queued; a caller's
-row blocks may still queue behind them.
+pool cannot deadlock. Row shares and row blocks alike reach the pool only
+through ``run_shares``: the caller runs the first one itself and, once it
+is done, takes back every one the pool has not started, so none waits
+behind solves already queued.
 """
 
 from __future__ import annotations
@@ -208,22 +211,15 @@ def _hidden_rows(layers, x: np.ndarray, hidden: np.ndarray, lo: int, hi: int) ->
 
 def _hidden(layers, x: np.ndarray) -> np.ndarray:
     """The last hidden activation of every row of ``x``: one run in the
-    calling thread below two blocks, else one run of blocks per pool thread."""
+    calling thread below two blocks, else one run of blocks per pool
+    thread, handed out by ``run_shares``."""
     n = x.shape[0]
     hidden = np.empty((n, layers[-1][0].shape[1]))
     if n < 2 * BLOCK_ROWS:
         _hidden_rows(layers, x, hidden, 0, n)
         return hidden
-    pool = inference_pool()
-    edges = _block_edges(0, n, min(pool.threads, n // BLOCK_ROWS))
-    futures = [
-        pool.executor.submit(_hidden_rows, layers, x, hidden, lo, hi)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
-    # no run may still be writing into ``hidden`` once an error is raised
-    wait(futures)
-    for future in futures:
-        future.result()
+    edges = _block_edges(0, n, min(inference_pool().threads, n // BLOCK_ROWS))
+    run_shares(lambda lo, hi: _hidden_rows(layers, x, hidden, lo, hi), edges)
     return hidden
 
 

@@ -73,36 +73,34 @@ never in a pool job: ``_ot_steps`` calls ``ot_solver`` before it submits a
 job, and ``harness.run_stage`` before it changes the stage directory, so a
 missing scipy fails an OT stage before it starts.
 
-Sampling integrates the learned ODE with forward Euler over t in [0, 1].
-Euler moves every point on its own, so ``FlowModel.push`` and
-``trajectory`` take a batch apart once per call, not once per step: where
-``diffcore.nn.row_shares`` allows (below 2,048 rows, with every stage's
-output layer over the whole batch within the 10^6 multiply-adds of
-OpenBLAS's small-matrix kernel: a 64->2 layer kept its bits under cuts at
-multiples of 4 rows at 7,812 rows but not at 7,813; see ``diffcore.nn``)
-each pool thread carries one row share through every Euler step of every
-chain stage, and the results are joined once, in row order. That is one
-pool hand-off per call instead of one per step (125 for a draw through a
-25+100-step chain). ``diffcore.nn.run_shares`` runs the first share in the
-calling thread, which then takes back any share the pool has not started,
-so none waits behind queued OT solves.
+Sampling integrates the learned ODE with forward Euler over t in [0, 1]
+in one loop, ``_share_steps``, for every draw through ``FlowModel.push``
+or ``trajectory``. It carries a range of rows through every Euler step
+of every chain stage, with the state in the first d columns of the
+field's input rows, stepped in place by ``np.multiply(v, dt, out=v)``
+then ``np.add(x, v, out=x)``: the same IEEE products and sums as
+``integrate``'s ``x + dt * v``. The output layer is one matmul over the
+range. Below ``2 * BLOCK_ROWS`` (2,048) rows the hidden layers run
+through a plan set up once per stage (``diffcore.nn._layer_plan``), so a
+step makes no array and calls no Python function but the hidden-layer
+loop. From 2,048 rows ``diffcore.nn._hidden`` runs them at every step
+and hands its row blocks to the pool; the biases stay vectors, and each
+step's hidden array is freed before the next one is made.
 
-A share runs ``_share_steps``, a loop set up once per share: each stage's
-layers get their plan (``diffcore.nn._layer_plan``: every bias broadcast
-to the share's rows, every layer's output in one of two buffers), and the
-state lives in the first d columns of the field's input rows, stepped in
-place by ``np.multiply(v, dt, out=v)`` then ``np.add(x, v, out=x)``, the
-same IEEE products and sums as ``x + dt * v``. A step then makes no array
-and calls no Python function but the hidden-layer loop, so a share holds
-the GIL for less of it: through the 25+100-step chain of 64x64x64 fields,
-one 128-row share alone took 16.3 ms and two together (one per thread)
-23.1 ms, where the per-step field calls took 18.6 and 29.6 ms (medians of
-6 alternating rounds in one process, 2-vCPU Xeon VM, one BLAS thread).
-``trajectory`` copies the state at its marks only. A share calls no name
-a tracer wraps. Where ``row_shares`` takes no shares a call integrates
-stage by stage through ``integrate``, whose callback field runs
-``forward_raw`` on each step's row blocks and whose ``on_step`` gets a
-new array at every step.
+Euler moves every point on its own, so where ``diffcore.nn.row_shares``
+allows (below 2,048 rows, with every output layer over the whole batch
+within OpenBLAS's small-matrix kernel; see ``diffcore.nn``) a batch is
+cut once per call into one row share per pool thread, each share runs
+the loop, and the results are joined in row order: one pool hand-off per
+call, not one per step. Otherwise the batch is one range, on the calling
+thread. ``diffcore.nn.run_shares`` hands out the shares and ``_hidden``'s
+block runs alike, so none waits behind queued OT solves. Through the
+25+100-step chain of 64x64x64 fields, one 128-row share alone took 16.3
+ms and two together (one per thread) 23.1 ms, where per-step field calls
+took 18.6 and 29.6 ms (medians of 6 alternating rounds in one process,
+2-vCPU Xeon VM, one BLAS thread). ``trajectory`` copies the state at its
+marks only. The loop calls no name a tracer wraps. ``integrate`` stays
+the public reference integrator; nothing in the package calls it.
 A model trained on top of another model's outputs keeps that parent in its
 chain, so generation always starts from the standard Gaussian root.
 """
@@ -130,7 +128,8 @@ from .diffcore.checkpoint import (
     read_text,
     read_u32,
 )
-from .diffcore.nn import _layer_plan, _run_hidden, _sq_error_parts, row_shares, run_shares
+from .diffcore.nn import (BLOCK_ROWS, _hidden, _layer_plan, _run_hidden, _sq_error_parts, row_shares,
+                          run_shares)
 from .energy import EnergySpec
 from .metrics import MAX_ROWS
 
@@ -463,37 +462,21 @@ class FlowModel:
     def velocity(self, t, x) -> np.ndarray:
         """This model's own field at time ``t`` (a scalar or one per row) on
         points ``x`` (n, d), evaluated by the inference forward pass."""
-        field = self._field_fn(x)
+        _check_points(self.field, x)
         if not np.all(np.isfinite(t)):
             raise ValueError("t must be finite")
-        return field(t, x)
-
-    def _field_fn(self, x: np.ndarray):
-        """This model's own field as ``integrate``'s callback from the points
-        ``x`` (n, d) on. Each call refills one (n, d + 1) input buffer, which
-        the forward never writes and is done with when it returns."""
-        _check_points(self.field, x)
         d = self.dim
         rows = np.empty((len(x), d + 1))
-
-        def field(t, y):
-            rows[:, :d] = y
-            rows[:, d] = t
-            return self.field.forward_raw(rows)
-
-        return field
+        rows[:, :d] = x
+        rows[:, d] = t
+        return self.field.forward_raw(rows)
 
     def push(self, x: np.ndarray, n_steps: int | None = None) -> np.ndarray:
-        """Transport points through the whole chain ending at this field,
-        in row shares where ``diffcore.nn.row_shares`` allows (module docstring)."""
+        """Transport points through the whole chain ending at this field
+        (the sampler of the module docstring)."""
         chain = self.chain
         steps = [stage.n_steps if n_steps is None else n_steps for stage in chain]
-        edges = row_shares([stage.field for stage in chain], len(x))
-        if len(edges) == 2:
-            for stage, n in zip(chain, steps):
-                x = integrate(stage._field_fn(x), x, n)
-            return x
-        return _in_shares([(stage.field, n) for stage, n in zip(chain, steps)], x, edges, {steps[-1]})[0]
+        return _in_shares([(stage.field, n) for stage, n in zip(chain, steps)], x, {steps[-1]})[0]
 
     def base_states(self, n: int, seed=0, n_steps: int | None = None) -> np.ndarray:
         """Inputs to this model's own stage: Gaussian root run through parents."""
@@ -669,35 +652,42 @@ def _check_points(field: Mlp, x) -> None:
         raise ShapeError(f"a field of {d}-vectors takes rows of {d + 1} columns, not {field.in_dim}")
 
 
-def _in_shares(stages: list[tuple[Mlp, int]], x: np.ndarray, edges: list[int], keep) -> list[np.ndarray]:
-    """The states ``_share_steps`` keeps of each row share of the points
-    ``x`` between ``edges`` (from ``row_shares``) carried through ``stages``,
-    joined in row order."""
+def _in_shares(stages: list[tuple[Mlp, int]], x: np.ndarray, keep) -> list[np.ndarray]:
+    """The states ``_share_steps`` keeps of the points ``x`` carried through
+    ``stages``: in one range on the calling thread, or in the row shares
+    that ``row_shares`` cuts, joined in row order."""
     x = np.asarray(x, dtype=np.float64)
-    for field, _ in stages:
+    for field, n_steps in stages:
         _check_points(field, x)
+        if n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
+    edges = row_shares([field for field, _ in stages], len(x))
+    if len(edges) == 2:
+        return _share_steps(stages, x, keep)
     shares = run_shares(lambda lo, hi: _share_steps(stages, x[lo:hi], keep), edges)
     return [np.concatenate(states) for states in zip(*shares)]
 
 
 def _share_steps(stages: list[tuple[Mlp, int]], x0: np.ndarray, keep) -> list[np.ndarray]:
-    """The row share ``x0`` carried through ``stages`` ((field, n_steps)
-    pairs) by ``integrate``'s forward Euler, bit for bit, in buffers set up
-    once: each stage's layers get their plan and the state steps in place
-    in the first d columns of the field's input rows. Returns a copy of the
-    state after each step of the last stage that ``keep`` holds."""
+    """The rows ``x0`` carried through ``stages`` ((field, n_steps) pairs)
+    by ``integrate``'s forward Euler, bit for bit, in the one loop of the
+    module docstring. Returns a copy of the state after each step of the
+    last stage that ``keep`` holds."""
     n, d = x0.shape
     rows = np.empty((n, d + 1))
     state = rows[:, :d]
     state[...] = x0
     kept = []
     for i, (field, n_steps) in enumerate(stages):
-        *hidden, (w, bias, v) = _layer_plan(field.layers, n)
+        *layers, (w, b) = field.layers
+        pooled = n >= 2 * BLOCK_ROWS and bool(layers)
+        *plan, (_, bias, v) = [(w, b, np.empty((n, d)))] if pooled else _layer_plan(field.layers, n)
         marks = keep if i == len(stages) - 1 else ()
         dt = 1.0 / n_steps
         for k in range(n_steps):
             rows[:, d] = k * dt
-            np.matmul(_run_hidden(rows, hidden), w, out=v)
+            # a pooled step's hidden array dies here, before the next is made
+            np.matmul(_hidden(layers, rows) if pooled else _run_hidden(rows, plan), w, out=v)
             np.add(v, bias, out=v)
             # dt * v, then x plus it: integrate's products and sums
             np.multiply(v, dt, out=v)
@@ -706,7 +696,7 @@ def _share_steps(stages: list[tuple[Mlp, int]], x0: np.ndarray, keep) -> list[np
                 kept.append(state.copy())
         # free this stage's plan before the next one is made: two at once
         # raised a refit benchmark run's peak RSS by 2 MiB
-        del hidden, bias, v
+        del plan, bias, v
     return kept
 
 
@@ -716,8 +706,8 @@ def trajectory(
     """States of this model's own stage at k evenly spaced times in [0, 1].
 
     Returns (t, batch) pairs including both endpoints; the final snapshot
-    coincides with running the integrator to completion from x0. Rows go
-    in shares where ``diffcore.nn.row_shares`` allows (module docstring).
+    coincides with running the integrator to completion from x0. The
+    states come from the sampler's one loop (module docstring).
     """
     if k_snapshots < 2:
         raise ValueError("need at least the two endpoint snapshots")
@@ -726,18 +716,9 @@ def trajectory(
     marks = {int(k) for k in np.round(np.linspace(0, n_steps, k_snapshots))}
     # snapshot times are k * dt, not k / n_steps: the two differ in the last bit
     dt = 1.0 / n_steps
-    snaps = [(0.0, np.array(x0, dtype=np.float64, copy=True))]
-    edges = row_shares([model.field], len(x0))
-    if len(edges) == 2:
-
-        def snapshot(k, x):
-            if k in marks:
-                snaps.append((k * dt, x))
-
-        integrate(model._field_fn(x0), x0, n_steps, on_step=snapshot)
-        return snaps
-    states = _in_shares([(model.field, n_steps)], x0, edges, marks)
-    return snaps + [(k * dt, state) for k, state in zip(sorted(marks - {0}), states)]
+    states = _in_shares([(model.field, n_steps)], x0, marks)
+    return [(0.0, np.array(x0, dtype=np.float64, copy=True))] + [
+        (k * dt, state) for k, state in zip(sorted(marks - {0}), states)]
 
 
 # -- persistence ----------------------------------------------------------------

@@ -439,7 +439,8 @@ def run_stage(
     init = None if fresh else prior
     parent = None if stage.mode == "finetune" else prior
 
-    # everything above only reads; the stage directory changes from here on
+    # above, only ensure_classifier writes, and only <out>/classifier/ when
+    # it trains a new classifier; the stage directory changes from here on
     ckpt = stage_dir / "ckpt.bin"
     ckpt.unlink(missing_ok=True)
     start = time.perf_counter()

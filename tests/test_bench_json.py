@@ -168,6 +168,13 @@ def test_gaps_and_the_gain_rule(tmp_path):
     assert got["median_gap"] == pytest.approx((55.5 - 105.5) / 105.5)
     assert got["parent_spread"] == pytest.approx(4.5 / 105.5)
     assert got["gain_rule_holds"] and entry["wins_change_over_parent"]["op_ms_p50"] == "10/10"
+    # beside it the paired figure over the ratios (50 + s) / (100 + s) - 1
+    ratios = sorted((50.0 + s) / (100.0 + s) - 1.0 for s in range(1, 11))
+    assert got["paired"] == {
+        "ratio_median": pytest.approx((ratios[4] + ratios[5]) / 2),
+        "ratio_q1": pytest.approx(ratios[2] + 0.25 * (ratios[3] - ratios[2])),
+        "ratio_q3": pytest.approx(ratios[6] + 0.75 * (ratios[7] - ratios[6])),
+        "wins": "10/10", "sign_test_p": 2 / 1024}
     assert entry["gaps_change_over_parent"]["work_per_s"]["gain_rule_holds"]
 
     # 1 ms faster wins every pair but is inside the parent's own spread
@@ -188,3 +195,33 @@ def test_the_gain_rule_needs_ten_pairs_and_nine_wins():
     assert rule == {"9/10": True, "8/10": False, "9/9": False, "18/20": True, "17/20": False}
     worse = bench_json.gaps(last, first, {"op_ms_p50": "10/10"}, better)["op_ms_p50"]
     assert worse["median_gap"] == 1.0 and not worse["gain_rule_holds"]
+
+
+def _runs(name, values):
+    return [{"metrics": {name: v}} for v in values]
+
+
+def test_the_paired_figure_drops_ties_and_signs_by_direction():
+    first = _runs("work_per_s", [10.0, 10.0, 10.0, 10.0, 20.0])
+    last = _runs("work_per_s", [11.0, 10.0, 9.0, 12.0, 25.0])
+    got = bench_json.paired(first, last, {"work_per_s": "higher"})["work_per_s"]
+    # ratios 0.1, 0, -0.1, 0.2, 0.25; one tie dropped: 3 wins, 1 loss
+    assert got["ratio_median"] == pytest.approx(0.1)
+    assert (got["ratio_q1"], got["ratio_q3"]) == (pytest.approx(0.0), pytest.approx(0.2))
+    assert got["wins"] == "3/4" and got["sign_test_p"] == pytest.approx(2 * 5 / 16)
+    assert bench_json.paired(first, last, {"work_per_s": "lower"})["work_per_s"]["wins"] == "1/4"
+    assert bench_json.sign_test_p(0, 0) == 1.0 and bench_json.sign_test_p(5, 5) == 1.0
+    assert bench_json.sign_test_p(9, 1) == pytest.approx(2 * 11 / 1024)
+
+
+def test_the_paired_figure_of_bench_15_generate_setup():
+    doc = json.loads((_PATH.parent.parent / "BENCH_15.json").read_text())["workloads"]["generate"]
+    first, last = (_runs("setup_s", doc[label]["metrics"]["setup_s"]["values"]) for label in ("parent", "change"))
+    got = bench_json.paired(first, last, {"setup_s": "lower"})["setup_s"]
+    assert round(got["ratio_median"], 3) == -0.155
+    # the inclusive quartiles; the exclusive ones are -20.2% and -8.3%
+    assert (round(got["ratio_q1"], 3), round(got["ratio_q3"], 3)) == (-0.198, -0.097)
+    assert got["wins"] == "10/10" and got["sign_test_p"] == pytest.approx(0.00195, abs=1e-5)
+    # the gain rule on the same runs is false against the parent's 16.3% spread
+    rule = bench_json.gaps(doc["parent"], doc["change"], {"setup_s": got["wins"]}, {"setup_s": "lower"})
+    assert not rule["setup_s"]["gain_rule_holds"]

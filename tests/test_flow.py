@@ -340,6 +340,12 @@ class TestSamplingAndTrajectory:
         with pytest.raises(ValueError):
             flow.trajectory(model, np.zeros((2, 2)), 4, 6)
 
+    @pytest.mark.parametrize("rows", [2, 1000])
+    def test_push_rejects_a_zero_step_count(self, rows):
+        # 1,000 rows take shares on a pool of more than one thread
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            linear_field_model().push(np.zeros((rows, 2)), n_steps=0)
+
     def test_chain_push_uses_per_stage_steps(self):
         inner = constant_field_model([1.0, 0.0], n_steps=4)
         outer = flow.FlowModel(constant_field_model([0.0, 1.0]).field, parent=inner, n_steps=8)

@@ -3,7 +3,8 @@ once into one share per pool thread and carry each share through the whole
 chain. They equal a serial reference bit for bit at every row count, pool
 size and field width; shares are taken only where ``row_shares`` allows; a
 share's error reaches the caller with its type and no share outlives the
-call; and a call finishes even when every pool thread is busy."""
+call; and a call finishes even when every pool thread is busy, whether it
+takes shares or hands a large batch's block runs to the pool."""
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -16,8 +17,9 @@ from cflow.datasets import GaussianSampler
 from cflow.diffcore import Mlp, nn
 
 ROWS = [1, 2, 127, 255, 256, 257, 511, 1000, 2047, 2048, 12288]
-# "64-32-8": widths that change from layer to layer, through reused buffers
-HIDDEN = {"64x3": (64, 64, 64), "8": (8,), "512": (512,), "64-32-8": (64, 32, 8)}
+# "64-32-8": widths that change from layer to layer, through reused buffers;
+# "linear": fields with no hidden layer
+HIDDEN = {"64x3": (64, 64, 64), "8": (8,), "512": (512,), "64-32-8": (64, 32, 8), "linear": ()}
 
 
 class RecordingExecutor(ThreadPoolExecutor):
@@ -210,11 +212,17 @@ def test_a_call_finishes_with_every_pool_thread_held(monkeypatch, threads):
     held = [executor.submit(release.wait, 60) for _ in range(threads)]
     model = chain(HIDDEN["64x3"])
     x = GaussianSampler(4).sample(1000)
+    # 4,096 rows are one range whose hidden layers go to the pool in block runs
+    big = GaussianSampler(6).sample(4096)
+    big_rows = np.column_stack([big, np.full(len(big), 0.25)])
     out = {}
 
     def call():
         out["push"] = model.push(x)
         out["snaps"] = flow.trajectory(model, x, model.n_steps, 2)
+        out["big_push"] = model.push(big)
+        out["big_snaps"] = flow.trajectory(model, big, model.n_steps, 2)
+        out["big_forward"] = model.field.forward_raw(big_rows)
 
     caller = threading.Thread(target=call)
     try:
@@ -229,5 +237,9 @@ def test_a_call_finishes_with_every_pool_thread_held(monkeypatch, threads):
     np.testing.assert_array_equal(out["push"], serial_push(model, x))
     np.testing.assert_array_equal(out["snaps"][-1][1],
                                   flow.integrate(serial_field(model.field), x, model.n_steps))
-    # every share the pool had not started was taken back, not left queued
+    np.testing.assert_array_equal(out["big_push"], serial_push(model, big))
+    np.testing.assert_array_equal(out["big_snaps"][-1][1],
+                                  flow.integrate(serial_field(model.field), big, model.n_steps))
+    np.testing.assert_array_equal(out["big_forward"], serial_field(model.field)(0.25, big))
+    # every share or block run the pool had not started was taken back, not left queued
     assert all(job.cancelled() for job in executor.jobs if job not in held)

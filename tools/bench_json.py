@@ -31,8 +31,12 @@ gives, and records the last checkout's median gap relative to the first's
 median, the first's quartile spread relative to its median, and whether
 the gain rule of the choosing-metrics guide (section 8) holds: at least ten
 pairs, at least nine tenths of them won, and a gap in the better direction
-larger than that spread. Each checkout keeps perfbench's ``environment``
-block and its git commit.
+larger than that spread. Beside that rule, which it leaves as it is, each
+gap holds a ``paired`` figure over the seeds' ratios (last / first - 1):
+their median and quartiles, by the inclusive method of ``summary``, the
+pairs won with ties dropped, and the two-sided sign-test probability of
+that win count. Each checkout keeps perfbench's ``environment`` block and
+its git commit.
 
 When a run crashes, prints no result or times out, the runs that finished
 are still written, beside a ``failed_run`` entry with that run's command,
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -193,6 +198,29 @@ def gaps(first: dict, last: dict, won: dict[str, str], better: dict[str, str]) -
     return out
 
 
+def paired(first: list[dict], last: list[dict], better: dict[str, str]) -> dict[str, dict]:
+    """Per metric, the paired figure (module docstring) of the runs of two
+    checkouts on the same seeds, in seed order."""
+    out = {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "higher" else -1.0
+        pairs = [(a["metrics"][name], b["metrics"][name]) for a, b in zip(first, last)]
+        ratios = summary([b / a - 1.0 if a else 0.0 for a, b in pairs])
+        won = sum(sign * (b - a) > 0 for a, b in pairs)
+        lost = sum(sign * (b - a) < 0 for a, b in pairs)
+        out[name] = {"ratio_median": ratios["median"], "ratio_q1": ratios["q1"], "ratio_q3": ratios["q3"],
+                     "wins": f"{won}/{won + lost}", "sign_test_p": sign_test_p(won, lost)}
+    return out
+
+
+def sign_test_p(won: int, lost: int) -> float:
+    """Two-sided sign-test probability of ``won`` wins against ``lost``
+    losses (ties dropped) when each pair is a fair coin."""
+    n = won + lost
+    tail = sum(math.comb(n, i) for i in range(min(won, lost) + 1)) / 2**n
+    return min(1.0, 2.0 * tail)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
@@ -244,7 +272,10 @@ def main(argv=None) -> int:
             first, last = labels[0], labels[-1]
             won = wins(by_label[first], by_label[last], better)
             entry[f"wins_{last}_over_{first}"] = won
-            entry[f"gaps_{last}_over_{first}"] = gaps(entry[first], entry[last], won, better)
+            gap = gaps(entry[first], entry[last], won, better)
+            for name, figure in paired(by_label[first], by_label[last], better).items():
+                gap[name]["paired"] = figure
+            entry[f"gaps_{last}_over_{first}"] = gap
         workloads[workload] = entry
 
     doc = {
