@@ -74,12 +74,14 @@ on the calling thread, and from two blocks up its step loop runs the
 hidden layers through ``_hidden`` at every step.
 
 ``inference_pool`` is the process's one worker pool. Besides row shares
-and row blocks it runs ``flow.train``'s minibatch-OT solves ahead of the
-training step. No job submits another, and no job waits on one, so the
-pool cannot deadlock. Row shares and row blocks alike reach the pool only
-through ``run_shares``: the caller runs the first one itself and, once it
-is done, takes back every one the pool has not started, so none waits
-behind solves already queued.
+and row blocks it runs ``metrics.mmd2``'s kernel-sum runs, each turning
+its rows of the kernel matrix into kernel values, and ``flow.train``'s
+minibatch-OT solves ahead of the training step. No job submits another,
+and no job waits on one, so the pool cannot deadlock. Row shares, row
+blocks and kernel-sum runs reach the pool only through ``run_shares``:
+the caller runs the first one itself and, once it is done, takes back
+every one the pool has not started, so none waits behind solves already
+queued.
 """
 
 from __future__ import annotations
@@ -267,14 +269,12 @@ def num_parameters(widths: list[int]) -> int:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: with e = exp(-|z|), 1 / (1 + e)
+    where z >= 0 and e / (1 + e) elsewhere, so ``exp`` never overflows."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 def row_sq_error_mean(

@@ -1,5 +1,6 @@
-"""Shared test helpers: finite-difference and MMD oracles, gradient flattening,
-and two energies that only tests use.
+"""Shared test helpers: finite-difference, MMD and kernel-sum oracles,
+gradient flattening, a recording inference pool, and two energies that only
+tests use.
 
 The suite runs numpy's BLAS on one thread, as the ``cflow`` command does.
 Results are bit-identical at any thread count, but two test processes on a
@@ -15,12 +16,13 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ[_var] = "1"
 
+from concurrent.futures import ThreadPoolExecutor  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from cflow import energy as _energy  # noqa: E402
-from cflow.diffcore import blas_threads  # noqa: E402
+from cflow.diffcore import blas_threads, nn  # noqa: E402
 from cflow.metrics import KernelConfig  # noqa: E402
 
 
@@ -57,6 +59,47 @@ def mmd2_reference(X, Y, kernel: KernelConfig = KernelConfig()) -> float:
     term_yy = sum(k(u, v) for u in b for v in b) / (len(b) * len(b))
     term_xy = sum(k(u, v) for u in a for v in b) / (len(a) * len(b))
     return term_xx + term_yy - 2.0 * term_xy
+
+
+def kernel_sum_reference(a, b, kernel: KernelConfig = KernelConfig()) -> float:
+    """``metrics._kernel_sum`` in its two-array form, whole-matrix passes
+    over the sum of squared norms and the doubled product (test oracle)."""
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    cross = a @ b.T
+    cross *= 2.0
+    sq -= cross
+    np.maximum(sq, 0.0, out=sq)
+    np.negative(sq, out=sq)
+    sq /= 2.0 * kernel.bandwidth**2
+    np.exp(sq, out=sq)
+    return float(sq.sum())
+
+
+def mmd2_from_sums(xx: float, yy: float, xy: float, n: int, m: int) -> float:
+    """``metrics.mmd2`` of an n-point X and an m-point Y from their three
+    kernel sums, in its order of operations (test oracle)."""
+    return max(xx / (n * n) + yy / (m * m) - 2.0 * xy / (n * m), 0.0)
+
+
+class RecordingExecutor(ThreadPoolExecutor):
+    """A thread pool that keeps every future it hands out."""
+
+    def __init__(self, threads):
+        super().__init__(threads)
+        self.jobs = []
+
+    def submit(self, fn, *args, **kwargs):
+        job = super().submit(fn, *args, **kwargs)
+        self.jobs.append(job)
+        return job
+
+
+def use_pool(monkeypatch, threads):
+    """Make the inference pool a fresh ``RecordingExecutor`` of ``threads``
+    threads; the caller shuts it down."""
+    executor = RecordingExecutor(threads)
+    monkeypatch.setattr(nn, "_pool", nn._Pool(executor, threads))
+    return executor
 
 
 def flatten_grads(model) -> np.ndarray:

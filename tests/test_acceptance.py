@@ -40,9 +40,9 @@ def report_pass(criterion: str, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-# the chains' serial wall clock on a 2-vCPU Xeon VM was circles 80.6 s,
-# checkerboard 70.6 s, gaussians6 46.2 s and moons 18.2 s
-LONGEST_FIRST = ("circles", "checkerboard", "gaussians6", "moons")
+# the chains' serial wall clock on a 2-vCPU Xeon VM was checkerboard 39.0 s,
+# circles 34.3 s, gaussians6 27.8 s and moons 9.6 s
+LONGEST_FIRST = ("checkerboard", "circles", "gaussians6", "moons")
 
 
 def run_chain(bench_and_out):

@@ -24,6 +24,7 @@ from cflow.diffcore import (
     load_mlp,
     mlp_to_bytes,
     save_mlp,
+    sigmoid,
     velocity_mlp,
 )
 from cflow.diffcore.nn import row_sq_error_mean
@@ -70,6 +71,34 @@ class TestTensorOps:
         assert np.isfinite(loss.item())
         with pytest.raises(NonFiniteError):
             loss.backward()
+
+
+def masked_sigmoid(z):
+    """The logistic function through a boolean mask and fancy-indexed
+    copies (test oracle)."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_the_masked_form_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 36.9, -36.9, 709.0, -709.0, 746.0, -746.0,
+                 1e308, -1e308]
+        z = np.concatenate([rng.normal(0.0, scale, 4000) for scale in (1.0, 8.0, 40.0, 800.0)] + [edges])
+        for shape in (z.shape, (z.size, 1), (2, z.size // 2)):
+            got, want = sigmoid(z.reshape(shape)), masked_sigmoid(z.reshape(shape))
+            assert got.shape == shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert sigmoid(-2.5) == masked_sigmoid(-2.5)
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan, 1.0]))[:2]).all()
 
 
 class TestMlpForward:

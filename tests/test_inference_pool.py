@@ -7,10 +7,10 @@ import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import use_pool
 
 from cflow import flow
 from cflow.datasets import GaussianSampler
@@ -39,14 +39,6 @@ def net(widths, seed=4):
     for _, b in m.layers:
         b[...] = rng.normal(0.0, 0.1, b.shape)
     return m
-
-
-def use_pool(monkeypatch, threads):
-    """Make forward_raw run on a fresh pool of ``threads`` threads; the
-    caller shuts down the returned executor."""
-    executor = ThreadPoolExecutor(threads)
-    monkeypatch.setattr(nn, "_pool", nn._Pool(executor, threads))
-    return executor
 
 
 @pytest.fixture(params=[1, 2], ids=["pool-1", "pool-2"])

@@ -1,10 +1,11 @@
 """MMD estimator, classifier metrics, timing, and report assembly."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import mmd2_reference
+from conftest import kernel_sum_reference, mmd2_from_sums, mmd2_reference, use_pool
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,10 @@ from cflow import datasets as ds
 from cflow import energy as en
 from cflow import metrics as me
 from cflow.config import ConfigError
+from cflow.diffcore import nn
+
+# around one and two kernel-matrix blocks, one to three runs, and the eval sizes
+SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 999, 1000, 1001, 4096]
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +103,77 @@ class TestMmd:
         matrix = n * n * 8
         assert peak < 2.5 * matrix  # two n x n float64 arrays plus small ones
 
+    def test_kernel_sums_hold_one_matrix(self):
+        n = 1000
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            me.mmd2(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one n x n float64 array plus a scratch block per pool run
+        assert peak < 1.5 * n * n * 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_point_that_is_not_finite_is_rejected_by_name(self, bad):
+        x = np.random.default_rng(7).normal(size=(5, 2))
+        y = x + 1.0
+        y[3, 1] = bad
+        with pytest.raises(ValueError, match="Y holds a point that is not finite"):
+            me.mmd2(x, y)
+        with pytest.raises(ValueError, match="X holds a point that is not finite"):
+            me.mmd2(y, x)
+
     def test_bandwidth_validated(self):
         with pytest.raises(ValueError):
             me.KernelConfig(bandwidth=0.0)
+
+
+@functools.cache
+def batch(side: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng([n, side == "y"])
+    return rng.normal(size=(n, 2)) + (0.5 if side == "y" else 0.0)
+
+
+@functools.cache
+def reference_sum(side_a: str, n: int, side_b: str, m: int) -> float:
+    return kernel_sum_reference(batch(side_a, n), batch(side_b, m))
+
+
+class TestKernelSumRuns:
+    """``_kernel_sum`` builds one n x m array and runs its elementwise
+    passes in row blocks, one run per pool thread from two blocks up; it
+    equals the two-array form bit for bit on any pool."""
+
+    @pytest.fixture(params=[1, 2, 4], ids=["pool-1", "pool-2", "pool-4"])
+    def pool(self, request, monkeypatch):
+        executor = use_pool(monkeypatch, request.param)
+        yield executor
+        executor.shutdown()
+
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_the_two_array_form_bit_for_bit(self, pool, n, m):
+        x, y = batch("x", n), batch("y", m)
+        assert me._kernel_sum(x, y, me.KernelConfig()) == reference_sum("x", n, "y", m)
+        want = mmd2_from_sums(reference_sum("x", n, "x", n), reference_sum("y", m, "y", m),
+                              reference_sum("x", n, "y", m), n, m)
+        assert me.mmd2(x, y) == want
+        # one run per pool thread, at most one per block, from two blocks up
+        runs = [max(1, min(pool._max_workers, k // me.KERNEL_BLOCK_ROWS)) for k in (n, n, m, n)]
+        assert len(pool.jobs) == sum(r - 1 for r in runs if r > 1)
+
+    def test_below_two_blocks_the_pool_is_never_touched(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the pool ran")
+
+        monkeypatch.setattr(nn, "inference_pool", fail)
+        monkeypatch.setattr(me, "inference_pool", fail)
+        n = 2 * me.KERNEL_BLOCK_ROWS - 1
+        x, y = batch("x", n), batch("y", 4096)
+        assert me._kernel_sum(x, y, me.KernelConfig()) == reference_sum("x", n, "y", 4096)
 
 
 class TestClassifierMetrics:
@@ -197,6 +270,12 @@ class TestReport:
             self.make_row(forget_rate=1.5)
         with pytest.raises(ValueError):
             self.make_row(mmd_retain=-0.1)
+
+    @pytest.mark.parametrize("name", ["mmd_retain", "train_time_s", "inference_ms_per_sample",
+                                      "retention_accuracy", "forget_rate", "leakage"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            self.make_row(**{name: float("nan")})
 
     def test_none_marks_absent(self):
         row = self.make_row(train_time_s=None)

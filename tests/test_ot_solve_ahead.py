@@ -9,10 +9,10 @@ OT training, row-share sampling and whole harness stages."""
 import functools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import use_pool
 
 from cflow import datasets as ds
 from cflow import energy as en
@@ -22,23 +22,9 @@ from cflow.diffcore import Adam, Mlp, Sgd, Tensor, nn, velocity_mlp
 W = flow.OT_WINDOW
 
 
-class RecordingExecutor(ThreadPoolExecutor):
-    """A thread pool that keeps every future it hands out."""
-
-    def __init__(self, threads):
-        super().__init__(threads)
-        self.jobs = []
-
-    def submit(self, fn, *args, **kwargs):
-        job = super().submit(fn, *args, **kwargs)
-        self.jobs.append(job)
-        return job
-
-
 @pytest.fixture(params=[1, 2], ids=["pool-1", "pool-2"])
 def pool(request, monkeypatch):
-    executor = RecordingExecutor(request.param)
-    monkeypatch.setattr(nn, "_pool", nn._Pool(executor, request.param))
+    executor = use_pool(monkeypatch, request.param)
     yield executor
     executor.shutdown()
 

@@ -4,15 +4,16 @@ chain. They equal a serial reference bit for bit at every row count, pool
 size and field width; shares are taken only where ``row_shares`` allows; a
 share's error reaches the caller with its type and no share outlives the
 call; and a call finishes even when every pool thread is busy, whether it
-takes shares or hands a large batch's block runs to the pool."""
+takes shares or hands a large batch's block runs, or an MMD's kernel-sum
+runs, to the pool."""
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import kernel_sum_reference, mmd2_from_sums, use_pool
 
-from cflow import flow
+from cflow import flow, metrics
 from cflow.datasets import GaussianSampler
 from cflow.diffcore import Mlp, nn
 
@@ -20,25 +21,6 @@ ROWS = [1, 2, 127, 255, 256, 257, 511, 1000, 2047, 2048, 12288]
 # "64-32-8": widths that change from layer to layer, through reused buffers;
 # "linear": fields with no hidden layer
 HIDDEN = {"64x3": (64, 64, 64), "8": (8,), "512": (512,), "64-32-8": (64, 32, 8), "linear": ()}
-
-
-class RecordingExecutor(ThreadPoolExecutor):
-    """A thread pool that keeps every future it hands out."""
-
-    def __init__(self, threads):
-        super().__init__(threads)
-        self.jobs = []
-
-    def submit(self, fn, *args, **kwargs):
-        job = super().submit(fn, *args, **kwargs)
-        self.jobs.append(job)
-        return job
-
-
-def use_pool(monkeypatch, threads):
-    executor = RecordingExecutor(threads)
-    monkeypatch.setattr(nn, "_pool", nn._Pool(executor, threads))
-    return executor
 
 
 @pytest.fixture(params=[1, 2, 4], ids=["pool-1", "pool-2", "pool-4"])
@@ -215,6 +197,8 @@ def test_a_call_finishes_with_every_pool_thread_held(monkeypatch, threads):
     # 4,096 rows are one range whose hidden layers go to the pool in block runs
     big = GaussianSampler(6).sample(4096)
     big_rows = np.column_stack([big, np.full(len(big), 0.25)])
+    # a 1,000-point MMD, whose kernel sums hand their row blocks to the pool
+    real = GaussianSampler(7).sample(1000)
     out = {}
 
     def call():
@@ -223,6 +207,7 @@ def test_a_call_finishes_with_every_pool_thread_held(monkeypatch, threads):
         out["big_push"] = model.push(big)
         out["big_snaps"] = flow.trajectory(model, big, model.n_steps, 2)
         out["big_forward"] = model.field.forward_raw(big_rows)
+        out["mmd"] = metrics.mmd2(x, real)
 
     caller = threading.Thread(target=call)
     try:
@@ -241,5 +226,7 @@ def test_a_call_finishes_with_every_pool_thread_held(monkeypatch, threads):
     np.testing.assert_array_equal(out["big_snaps"][-1][1],
                                   flow.integrate(serial_field(model.field), big, model.n_steps))
     np.testing.assert_array_equal(out["big_forward"], serial_field(model.field)(0.25, big))
+    assert out["mmd"] == mmd2_from_sums(kernel_sum_reference(x, x), kernel_sum_reference(real, real),
+                                        kernel_sum_reference(x, real), len(x), len(real))
     # every share or block run the pool had not started was taken back, not left queued
     assert all(job.cancelled() for job in executor.jobs if job not in held)
