@@ -96,7 +96,10 @@ def _energy_from_spec(path: str) -> en.EnergySpec:
                 f"{path}: unknown benchmark {raw['benchmark']!r}; expected one of {ds.BENCHMARKS}"
             )
         return en.RegionEnergy(raw["benchmark"], section.lam, sharpness=section.sharpness)
-    return en.ClassifierEnergy(en.load_classifier(raw["classifier_ckpt"]), section.lam)
+    ckpt = raw["classifier_ckpt"]
+    if not isinstance(ckpt, str):
+        raise harness.ConfigError(f"{path}: classifier_ckpt must be a path string, got {ckpt!r}")
+    return en.ClassifierEnergy(en.load_classifier(ckpt), section.lam)
 
 
 def _cmd_energy_eval(args) -> int:
@@ -121,6 +124,9 @@ def _cmd_eval_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    md_path = Path(args.out).with_suffix(".md")
+    if md_path == Path(args.out):
+        raise harness.ConfigError(f"--out {args.out}: the .md table would overwrite the CSV")
     rows = []
     for root in args.runs:
         # a finished stage has its ckpt.bin beside its report.csv; this skips
@@ -133,7 +139,6 @@ def _cmd_report(args) -> int:
     aggregated = harness.report(rows)
     harness.write_consolidated(Path(args.out), aggregated)
     md = harness.format_markdown(aggregated)
-    md_path = Path(args.out).with_suffix(".md")
     md_path.write_text(md)
     print(md)
     print(f"wrote {args.out} and {md_path}")

@@ -29,15 +29,12 @@ one buffer pair, and a sampler's range sets up its plan once
 ``np.add(out, bias_rows, out=out)`` is the same IEEE add as ``out += b``
 without numpy's row-at-a-time broadcast (35 -> 19 us per 1,024x64 block).
 A run of blocks keeps the plain bias: tiling it in each run raised a
-``generate`` benchmark run's peak RSS from 105.7 to 111.5 MiB. Below two
-blocks of ``BLOCK_ROWS`` rows ``_hidden`` carries all rows as one block on
-the calling thread. From two blocks up it cuts the rows into one
-run of whole blocks per pool thread (the last run also takes the
-remainder) and hands them out through ``run_shares``. numpy releases the
-GIL inside matmul and ``tanh``, so the runs go in parallel. The result is
-bit-identical to one run over all rows, because of two rules, measured
-with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on one BLAS thread on an
-AVX-512 Xeon:
+``generate`` benchmark run's peak RSS from 105.7 to 111.5 MiB. ``_hidden``
+hands its rows to ``run_blocks`` (below) in blocks of ``BLOCK_ROWS`` rows;
+numpy releases the GIL inside matmul and ``tanh``, so the runs of blocks
+go in parallel. The result is bit-identical to one run over all rows,
+because of two rules, measured with numpy 2.4.6 and its bundled OpenBLAS
+0.3.31 on one BLAS thread on an AVX-512 Xeon:
 
 * A hidden layer gives every row the same bits whichever row range it is
   computed in, as long as the range has more than one row: ranges cut at
@@ -77,11 +74,15 @@ hidden layers through ``_hidden`` at every step.
 and row blocks it runs ``metrics.mmd2``'s kernel-sum runs, each turning
 its rows of the kernel matrix into kernel values, and ``flow.train``'s
 minibatch-OT solves ahead of the training step. No job submits another,
-and no job waits on one, so the pool cannot deadlock. Row shares, row
-blocks and kernel-sum runs reach the pool only through ``run_shares``:
-the caller runs the first one itself and, once it is done, takes back
-every one the pool has not started, so none waits behind solves already
-queued.
+and no job waits on one, so the pool cannot deadlock. ``run_blocks`` is
+the one place that decides whether the pool runs row blocks and
+kernel-sum runs: below two pieces of its unit it runs all rows on the
+calling thread and never looks the pool up; from two up it makes one run
+of whole pieces per pool thread. ``row_shares`` decides for a sampler's
+shares (above). Both cut rows by ``_cuts``, the one row-edge formula, and
+the runs reach the pool only through ``run_shares``: the caller runs the
+first one itself and, once it is done, takes back every one the pool has
+not started, so none waits behind solves already queued.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ __all__ = [
     "inference_threads",
     "inference_pool",
     "row_shares",
+    "run_blocks",
     "run_shares",
 ]
 
@@ -161,13 +163,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
-def _block_edges(lo: int, hi: int, parts: int) -> list[int]:
-    """Row edges that cut ``lo:hi`` into ``parts`` (at least one) runs of
-    whole blocks of ``BLOCK_ROWS`` rows from ``lo``; the last run also
-    takes the remainder, so fewer rows than a block make one run."""
-    blocks = (hi - lo) // BLOCK_ROWS
-    parts = max(parts, 1)
-    return [lo + BLOCK_ROWS * (blocks * k // parts) for k in range(parts)] + [hi]
+def _cuts(n: int, parts: int, unit: int) -> list[int]:
+    """Row edges that cut ``n`` rows into ``parts`` (at least one) runs of
+    whole pieces of ``unit`` rows; the last run also takes the remainder."""
+    units = n // unit
+    return [unit * (units * k // parts) for k in range(parts)] + [n]
 
 
 def _buffers(layers, rows: int) -> list[np.ndarray]:
@@ -202,7 +202,7 @@ def _run_hidden(h: np.ndarray, plan) -> np.ndarray:
 def _hidden_rows(layers, x: np.ndarray, hidden: np.ndarray, lo: int, hi: int) -> None:
     """Write the last hidden activation of rows ``lo:hi`` of ``x`` into the
     same rows of ``hidden``, one block at a time through one buffer pair."""
-    edges = _block_edges(lo, hi, (hi - lo) // BLOCK_ROWS)
+    edges = [lo + BLOCK_ROWS * k for k in range(max((hi - lo) // BLOCK_ROWS, 1))] + [hi]
     # the last block is the largest
     inner = _buffers(layers[:-1], hi - edges[-2])
     for start, stop in zip(edges[:-1], edges[1:]):
@@ -212,16 +212,10 @@ def _hidden_rows(layers, x: np.ndarray, hidden: np.ndarray, lo: int, hi: int) ->
 
 
 def _hidden(layers, x: np.ndarray) -> np.ndarray:
-    """The last hidden activation of every row of ``x``: one run in the
-    calling thread below two blocks, else one run of blocks per pool
-    thread, handed out by ``run_shares``."""
-    n = x.shape[0]
-    hidden = np.empty((n, layers[-1][0].shape[1]))
-    if n < 2 * BLOCK_ROWS:
-        _hidden_rows(layers, x, hidden, 0, n)
-        return hidden
-    edges = _block_edges(0, n, min(inference_pool().threads, n // BLOCK_ROWS))
-    run_shares(lambda lo, hi: _hidden_rows(layers, x, hidden, lo, hi), edges)
+    """The last hidden activation of every row of ``x``, in runs of whole
+    blocks (``run_blocks``)."""
+    hidden = np.empty((x.shape[0], layers[-1][0].shape[1]))
+    run_blocks(lambda lo, hi: _hidden_rows(layers, x, hidden, lo, hi), x.shape[0], BLOCK_ROWS)
     return hidden
 
 
@@ -237,9 +231,18 @@ def row_shares(nets, n: int) -> list[int]:
         return [0, n]
     if any(n * net.layers[-1][0].size > SMALL_GEMM_MADDS for net in nets):
         return [0, n]
-    parts = min(parts, inference_pool().threads)
-    quads = n // 4
-    return [4 * (quads * k // parts) for k in range(parts)] + [n]
+    return _cuts(n, min(parts, inference_pool().threads), 4)
+
+
+def run_blocks(fn, n: int, unit: int) -> None:
+    """``fn(lo, hi)`` over ``n`` rows: ``fn(0, n)`` on the calling thread
+    below two pieces of ``unit`` rows, without looking the pool up, else one
+    run of whole pieces per pool thread (at most one per piece)."""
+    units = n // unit
+    if units < 2:
+        fn(0, n)
+    else:
+        run_shares(fn, _cuts(n, min(inference_pool().threads, units), unit))
 
 
 def run_shares(fn, edges: list[int]) -> list:
@@ -258,9 +261,14 @@ def run_shares(fn, edges: list[int]) -> list:
             results.append(fn(lo, hi) if job.cancel() else job.result())
         return results
     finally:
-        # a cancelled share never runs, and ``wait`` would block on it until
-        # a pool thread dequeued it; wait for the started ones only
-        wait([job for *_, job in jobs if not job.cancel()])
+        _cancel_and_wait(job for *_, job in jobs)
+
+
+def _cancel_and_wait(jobs) -> None:
+    """Cancel the pool ``jobs`` not yet started and wait for the others, for
+    ``run_shares`` and ``flow``'s OT window alike: a cancelled job never
+    runs, and ``wait`` would block on it until a pool thread dequeued it."""
+    wait([job for job in jobs if not job.cancel()])
 
 
 def num_parameters(widths: list[int]) -> int:
@@ -291,14 +299,6 @@ def row_sq_error_mean(
     otherwise; ``backward()`` hands 2 * coef * residual to ``model.backward``.
     """
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    total = w.sum() if w is not None and normalized else None
-    return Tensor(*_sq_error_parts(model, x, target, w, total))
-
-
-def _sq_error_parts(model: "Mlp", x, target, w, total):
-    """The value and backward function of ``row_sq_error_mean`` with
-    float64 ``weights`` ``w``, given the weight sum of the normalized form
-    as ``total`` (None for the plain mean and for the unnormalized form)."""
     out, cache = model.forward(x)
     residual = out - np.asarray(target, dtype=np.float64)
     errors = (residual * residual).sum(axis=1)
@@ -306,13 +306,14 @@ def _sq_error_parts(model: "Mlp", x, target, w, total):
     if w is None:
         value = errors.mean()
         coef = np.full(n, 1.0 / n)
-    elif total is None:
-        value = (w * errors).mean()
-        coef = w / n
-    else:
+    elif normalized:
+        total = w.sum()
         value = (w * errors).sum() / total
         coef = w / total
-    return value, lambda: model.backward(cache, 2.0 * coef[:, None] * residual)
+    else:
+        value = (w * errors).mean()
+        coef = w / n
+    return Tensor(value, lambda: model.backward(cache, 2.0 * coef[:, None] * residual))
 
 
 def bce_with_logits(model: "Mlp", x: np.ndarray, targets: np.ndarray) -> Tensor:

@@ -60,9 +60,11 @@ step in turn: every sampler owns its generator, so a batch drawn early is
 the batch drawn on time; ``t`` and the conditional noise still come from
 the step stream inside the loop, in the same order; and an assignment is a
 pure function of its batches. A job only computes: it never samples and
-calls no public entry point, so a tracer that wraps those sees one thread. When a step raises, the
-queued jobs are cancelled and the running ones awaited before the error
-leaves ``train``; a job's own error reaches the caller with its type.
+calls no public entry point, so a tracer that wraps those sees one
+thread. The window is not row work, so it submits its jobs itself; when
+a step raises, ``diffcore.nn._cancel_and_wait`` cancels the queued jobs
+and awaits the running ones before the error leaves ``train``, as
+``run_shares`` does. A job's own error reaches the caller with its type.
 
 The OT coupling is the one user of scipy, so ``ot_solver`` imports scipy's
 ``linear_sum_assignment`` on first use and nothing else does: a process
@@ -111,7 +113,6 @@ import io
 import json
 import struct
 from collections import deque
-from concurrent.futures import wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,7 +129,7 @@ from .diffcore.checkpoint import (
     read_text,
     read_u32,
 )
-from .diffcore.nn import (BLOCK_ROWS, _hidden, _layer_plan, _run_hidden, _sq_error_parts, row_shares,
+from .diffcore.nn import (BLOCK_ROWS, _cancel_and_wait, _hidden, _layer_plan, _run_hidden, row_shares,
                           run_shares)
 from .energy import EnergySpec
 from .metrics import MAX_ROWS
@@ -300,9 +301,7 @@ def _ot_steps(q0, data_sampler: EmpiricalSampler, batch: int, steps: int):
                 drawn += 1
             yield pending.popleft().result()
     finally:
-        # a cancelled job never runs, and ``wait`` would block on it until a
-        # pool thread dequeued it; wait for the started ones only
-        wait([job for job in pending if not job.cancel()])
+        _cancel_and_wait(pending)
 
 
 # -- losses -------------------------------------------------------------------
@@ -366,27 +365,13 @@ def erfm_loss(
     if normalized and w.max() == w.min():
         # constant energy: the weights cancel, so this is bit-identical to
         # the plain CFM mean on the same batch
-        return _WeightedLoss(*_sq_error_parts(model, x, delta, None, None), total)
-    return _WeightedLoss(*_sq_error_parts(model, x, delta, w, total if normalized else None), total)
-
-
-class _WeightedLoss(Tensor):
-    """``erfm_loss``'s handle, which keeps the batch weight sum it computed
-    for the training step's weight statistics."""
-
-    __slots__ = ("weight_total",)
-
-    def __init__(self, value, backward_fn, weight_total):
-        super().__init__(value, backward_fn)
-        self.weight_total = weight_total
+        return row_sq_error_mean(model, x, delta)
+    return row_sq_error_mean(model, x, delta, w, normalized)
 
 
 def weight_stats(w: np.ndarray) -> tuple[float, float]:
     """Mean weight and Kish effective sample fraction (sum w)^2 / (B sum w^2)."""
-    return _weight_stats(w, w.sum())
-
-
-def _weight_stats(w: np.ndarray, total) -> tuple[float, float]:
+    total = w.sum()
     return float(total / w.size), float(total * total / (w.size * (w * w).sum()))
 
 
@@ -587,7 +572,7 @@ def train(
                     except FullySuppressedBatchError:
                         if attempt == MAX_BATCH_RESAMPLES:
                             raise
-                mean, ess = _weight_stats(w, loss.weight_total)
+                mean, ess = weight_stats(w)
                 trace.setdefault("weight_mean", []).append(mean)
                 trace.setdefault("ess_frac", []).append(ess)
             else:

@@ -231,12 +231,10 @@ def load_spec(path: str | Path) -> ExperimentSpec:
 
 @dataclass
 class RunArtifact:
-    spec: ExperimentSpec
     stage: str
     stage_dir: Path
     ckpt_path: Path | None
     rows: list[me.MetricsReport]
-    config_hash: str
 
 
 # -- shared stage plumbing ---------------------------------------------------
@@ -337,10 +335,12 @@ def read_report_csv(path: str | Path) -> list[me.MetricsReport]:
         header = next(reader)
         if header != me.MetricsReport.header():
             raise HarnessError(f"incompatible report schema in {path}: {header}")
-        return [
-            me.MetricsReport(**{f.name: _report_value(f.type, v) for f, v in zip(columns, raw)})
-            for raw in reader
-        ]
+        rows = []
+        for raw in reader:
+            if len(raw) != len(columns):
+                raise HarnessError(f"{path}, line {reader.line_num}: {len(raw)} cells, not {len(columns)}")
+            rows.append(me.MetricsReport(**{f.name: _report_value(f.type, v) for f, v in zip(columns, raw)}))
+        return rows
 
 
 def _model_source(spec: ExperimentSpec, model: flow.FlowModel):
@@ -447,12 +447,11 @@ def run_stage(
     model = flow.train(cfg, q0, target, mode=stage.mode, seed=spec.seed, parent=parent, init=init)
     train_time_s = time.perf_counter() - start
 
-    config_hash = spec.config_hash()
     _write_yaml(stage_dir / "config.yaml", spec.to_dict())
     _write_yaml(stage_dir / "meta.yaml", {
         "stage": pipeline,
         "seed": spec.seed,
-        "config_sha256": config_hash,
+        "config_sha256": spec.config_hash(),
         "blas_threads": blas_threads(),
         "inference_threads": inference_threads(),
         "cpu_count": os.cpu_count(),
@@ -472,14 +471,7 @@ def run_stage(
     partial = stage_dir / "ckpt.bin.partial"
     flow.save_model(model, partial)
     os.replace(partial, ckpt)
-    return RunArtifact(
-        spec=spec,
-        stage=stage.dir,
-        stage_dir=stage_dir,
-        ckpt_path=ckpt,
-        rows=rows,
-        config_hash=config_hash,
-    )
+    return RunArtifact(stage=stage.dir, stage_dir=stage_dir, ckpt_path=ckpt, rows=rows)
 
 
 def run(spec: ExperimentSpec) -> RunArtifact | list[RunArtifact]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ConfigError
 from .datasets import RETAIN, generate
-from .diffcore.nn import inference_pool, run_shares
+from .diffcore.nn import run_blocks
 from .energy import BinaryClassifier
 
 __all__ = [
@@ -95,22 +95,16 @@ def _kernel_rows(sq: np.ndarray, na: np.ndarray, nb: np.ndarray, denom: float, l
 def _kernel_sum(a: np.ndarray, b: np.ndarray, kernel: KernelConfig) -> float:
     """Sum of k(a_i, b_j) over every pair, from one n x m array: the one
     matmul over all rows becomes the kernel matrix in place, its row blocks
-    in one run per pool thread from two blocks up, and one ``sum`` over the
-    whole array keeps numpy's pairwise order."""
+    in the runs ``diffcore.nn.run_blocks`` decides (one per pool thread
+    from two blocks up), and one ``sum`` over the whole array keeps numpy's
+    pairwise order."""
     na = (a * a).sum(axis=1)
     nb = (b * b).sum(axis=1)
     # one product over all rows: OpenBLAS picks its kernel by the size of
     # the whole product, so a product per block would change bits
     sq = a @ b.T
     denom = 2.0 * kernel.bandwidth**2
-    n = sq.shape[0]
-    blocks = n // KERNEL_BLOCK_ROWS
-    if blocks < 2:
-        _kernel_rows(sq, na, nb, denom, 0, n)
-    else:
-        parts = min(inference_pool().threads, blocks)
-        edges = [KERNEL_BLOCK_ROWS * (blocks * k // parts) for k in range(parts)] + [n]
-        run_shares(lambda lo, hi: _kernel_rows(sq, na, nb, denom, lo, hi), edges)
+    run_blocks(lambda lo, hi: _kernel_rows(sq, na, nb, denom, lo, hi), sq.shape[0], KERNEL_BLOCK_ROWS)
     return float(sq.sum())
 
 

@@ -382,6 +382,40 @@ class TestReportAggregation:
         with pytest.raises(harness.HarnessError, match="schema"):
             harness.read_report_csv(bad)
 
+    def finished_stage(self, root, cells) -> Path:
+        """A stage directory ``cflow report`` reads: a report.csv of one
+        good row and then ``cells``, beside a ckpt.bin."""
+        stage = root / "run" / "unlearn"
+        stage.mkdir(parents=True)
+        harness.write_report_csv(stage / "report.csv", [self.row()])
+        with (stage / "report.csv").open("a", newline="") as fh:
+            csv.writer(fh).writerow(cells)
+        (stage / "ckpt.bin").write_bytes(b"")
+        return stage / "report.csv"
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short-row", "long-row"])
+    def test_a_row_with_the_wrong_cell_count_names_its_line(self, tmp_path, capsys, change):
+        good = self.row().to_row()
+        cells = good[:change] if change < 0 else [*good, "extra"]
+        report = self.finished_stage(tmp_path, cells)
+        out = tmp_path / "summary.csv"
+        assert cli.main(["report", "--runs", str(tmp_path / "run"), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: {report}, line 3: {len(cells)} cells, not {len(good)}\n"
+        assert not out.exists()
+
+    def test_report_out_with_the_markdown_suffix_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a report was read before --out was checked")
+
+        self.finished_stage(tmp_path, self.row(seed=1).to_row())
+        monkeypatch.setattr(harness, "read_report_csv", fail)
+        out = tmp_path / "summary.md"
+        assert cli.main(["report", "--runs", str(tmp_path / "run"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestCli:
     def test_datasets_export(self, tmp_path, capsys):
@@ -466,11 +500,14 @@ class TestCli:
             ("kind: analytic\nlam: 5.0\n", "energy kind 'analytic' needs a 'benchmark' key"),
             ("benchmark: spirals\n", "unknown benchmark 'spirals'"),
             ("kind: classifier\nlam: 5.0\n", "energy kind 'classifier' needs a 'classifier_ckpt' key"),
+            ("kind: classifier\nclassifier_ckpt: 5\n",
+             "energy.yaml: classifier_ckpt must be a path string, got 5"),
             ("kind: analytic\nbenchmark: circles\nlam: 0\n", "energy.lam must be positive"),
             ("benchmark: circles\nsharpness: steep\n", "energy.sharpness must be a finite number"),
         ],
         ids=["empty", "non-mapping", "unknown-kind", "missing-benchmark", "unknown-benchmark",
-             "missing-classifier-ckpt", "non-positive-lam", "non-numeric-sharpness"],
+             "missing-classifier-ckpt", "non-string-classifier-ckpt", "non-positive-lam",
+             "non-numeric-sharpness"],
     )
     def test_malformed_energy_spec_exit_code(self, tmp_path, capsys, text, message):
         pts_csv = tmp_path / "pts.csv"

@@ -13,6 +13,7 @@ from cflow import datasets as ds
 from cflow import energy as en
 from cflow import metrics as me
 from cflow.config import ConfigError
+from cflow.diffcore import nn
 
 # around one and two kernel-matrix blocks, one to three runs, and the eval sizes
 SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 999, 1000, 1001, 4096]
@@ -168,7 +169,7 @@ class TestKernelSumRuns:
         def fail(*args):
             raise AssertionError("the pool ran")
 
-        monkeypatch.setattr(me, "inference_pool", fail)
+        monkeypatch.setattr(nn, "inference_pool", fail)
         n = 2 * me.KERNEL_BLOCK_ROWS - 1
         x, y = batch("x", n), batch("y", 4096)
         assert me._kernel_sum(x, y, me.KernelConfig()) == reference_sum("x", n, "y", 4096)
