@@ -8,7 +8,8 @@ touches its directory. A run produces artifacts under ``<out>/<stage>/``:
 
     config.yaml   resolved spec echoed verbatim (re-runnable on its own)
     meta.yaml     seed, stage, config hash; BLAS threads, inference threads, CPUs;
-                  Python, numpy and scipy versions
+                  Python, numpy and scipy versions; the prior's ckpt.bin sha256
+                  and, for a model-source pool, its sha256 and drawn or read
     ckpt.bin      model checkpoint
     loss.csv      per-step training loss (plus OT costs when applicable)
     traj.csv      integration snapshots of the trained stage
@@ -24,13 +25,17 @@ Missing dependencies are reported by naming the stage that must run first;
 The stages share ``<out>/classifier/``: ``classifier.bin`` and a
 ``meta.yaml`` with the benchmark, seed and ``data_n`` it was trained for,
 its held-out accuracy and the config hash. It is reused only while those
-three match the spec; otherwise it is trained again.
+three match the spec; otherwise it is trained again. A model-source pool is
+kept in ``<out>/source_pool/<prior stage dir>.bin`` and read only while its
+size, key and data digest match (``_model_source``); otherwise it is drawn
+again and the file replaced atomically.
 All randomness derives from the spec seed, so re-running a config
 reproduces its checkpoints bit-exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -319,37 +324,83 @@ def write_report_csv(path: Path, rows: list[me.MetricsReport]) -> None:
     ds.write_csv(path, me.MetricsReport.header(), (row.to_row() for row in rows))
 
 
-def _report_value(kind: str, text: str):
-    """Parse one report cell by its ``MetricsReport`` field annotation."""
-    if kind == "int":
-        return int(text)
-    if text == "":
-        return None
-    return text if kind == "str" else float(text)
+def _report_value(column, text: str):
+    """Parse one report cell by its ``MetricsReport`` field annotation; a
+    ValueError names the column first, as ``MetricsReport``'s own do."""
+    try:
+        if column.type == "int":
+            return int(text)
+        if text == "":
+            return None
+        return text if column.type == "str" else float(text)
+    except ValueError as exc:
+        raise ValueError(f"{column.name}: {exc}") from None
 
 
 def read_report_csv(path: str | Path) -> list[me.MetricsReport]:
     columns = fields(me.MetricsReport)
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise HarnessError(f"{path}: empty report, no header row")
         if header != me.MetricsReport.header():
             raise HarnessError(f"incompatible report schema in {path}: {header}")
         rows = []
         for raw in reader:
             if len(raw) != len(columns):
                 raise HarnessError(f"{path}, line {reader.line_num}: {len(raw)} cells, not {len(columns)}")
-            rows.append(me.MetricsReport(**{f.name: _report_value(f.type, v) for f, v in zip(columns, raw)}))
+            try:
+                rows.append(me.MetricsReport(**{f.name: _report_value(f, v) for f, v in zip(columns, raw)}))
+            except ValueError as exc:  # each message starts with its column's name
+                raise HarnessError(f"{path}, line {reader.line_num}, column {exc}") from None
         return rows
 
 
-def _model_source(spec: ExperimentSpec, model: flow.FlowModel):
-    """Sampler over a model's outputs; a cached pool keeps steps cheap."""
+def _read_pool(path: Path, key: bytes, shape: tuple[int, int]) -> np.ndarray | None:
+    """The pool stored in ``path`` under ``key``; None for a file of another
+    size than ``shape`` fills (never read from the file), another key, data
+    that fail their digest, or an ``OSError``."""
+    with contextlib.suppress(OSError), path.open("rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 64 + 8 * shape[0] * shape[1]:
+            head, pool = fh.read(64), np.empty(shape, dtype="<f8")
+            if fh.readinto(pool) == pool.nbytes and head == key + hashlib.sha256(pool).digest():
+                return pool
+    return None
+
+
+def _write_pool(path: Path, key: bytes, pool: np.ndarray) -> None:
+    """Replace ``path`` by ``key``, the data digest and ``pool`` through a
+    ``.partial`` file of this process. A write that fails (a directory in
+    the way, a full disk) only leaves the pool to be drawn again."""
+    partial = path.with_name(f"{path.name}.{os.getpid()}.partial")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        partial.write_bytes(key + hashlib.sha256(pool).digest() + pool.tobytes())
+        os.replace(partial, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            partial.unlink(missing_ok=True)
+
+
+def _model_source(spec: ExperimentSpec, model: flow.FlowModel, prior_dir: str, prior_sha256: str):
+    """Sampler over a model's outputs and the ``meta.yaml`` fields of its pool,
+    drawn once per key (the prior's ``ckpt.bin`` sha256, seed, pool size, steps
+    and numpy version) and kept in ``<out>/source_pool/<prior_dir>.bin``."""
     steps = spec.source_steps or None
-    if spec.source_pool:
+    if not spec.source_pool:
+        return flow.ModelSampler(model, seed=[spec.seed, _TAG_Q0], n_steps=steps), {}
+    path = Path(spec.out) / "source_pool" / f"{prior_dir}.bin"
+    parts = (prior_sha256, spec.seed, spec.source_pool, spec.source_steps, _dist_version("numpy"))
+    key = hashlib.sha256(repr(parts).encode()).digest()
+    pool = _read_pool(path, key, (spec.source_pool, model.dim))
+    cache = "drawn" if pool is None else "read"
+    if pool is None:
         sampler = flow.ModelSampler(model, seed=[spec.seed, _TAG_Q0, 1], n_steps=steps)
-        return ds.EmpiricalSampler(sampler.sample(spec.source_pool), seed=[spec.seed, _TAG_Q0, 2])
-    return flow.ModelSampler(model, seed=[spec.seed, _TAG_Q0], n_steps=steps)
+        pool = np.ascontiguousarray(sampler.sample(spec.source_pool), dtype="<f8")
+        _write_pool(path, key, pool)
+    meta = {"source_pool_sha256": hashlib.sha256(pool).hexdigest(), "source_pool_cache": cache}
+    return ds.EmpiricalSampler(pool, seed=[spec.seed, _TAG_Q0, 2]), meta
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -405,7 +456,9 @@ def run_stage(
     stage = STAGES[pipeline]
     if flow.train_coupling(stage.mode, spec.train.coupling) == "ot":
         flow.ot_solver()
-    prior = flow.load_model(_require_ckpt(spec, stage.prior)) if stage.prior else None
+    prior_ckpt = _require_ckpt(spec, stage.prior) if stage.prior else None
+    prior = flow.load_model(prior_ckpt) if prior_ckpt else None
+    provenance = {"prior_ckpt_sha256": hashlib.sha256(prior_ckpt.read_bytes()).hexdigest()} if prior else {}
     stage_dir = stage_dir or Path(spec.out) / stage.dir
 
     cfg = spec.train
@@ -432,15 +485,17 @@ def run_stage(
     if source == "gaussian":
         q0 = ds.GaussianSampler(seed=[spec.seed, _TAG_Q0])
     elif source == "model":
-        q0 = _model_source(spec, prior)
+        q0, pool_meta = _model_source(spec, prior, STAGES[stage.prior].dir, provenance["prior_ckpt_sha256"])
+        provenance.update(pool_meta)
     else:
         q0 = ds.EmpiricalSampler(_train_dataset(spec).points, seed=[spec.seed, _TAG_Q0])
     fresh = stage.mode == "refit-ot" or (pipeline == "unlearn-erfm" and spec.unlearn_init == "fresh")
     init = None if fresh else prior
     parent = None if stage.mode == "finetune" else prior
 
-    # above, only ensure_classifier writes, and only <out>/classifier/ when
-    # it trains a new classifier; the stage directory changes from here on
+    # above, only <out>/classifier/ (a newly trained classifier) and
+    # <out>/source_pool/ (a newly drawn pool) are written; the stage
+    # directory changes from here on
     ckpt = stage_dir / "ckpt.bin"
     ckpt.unlink(missing_ok=True)
     start = time.perf_counter()
@@ -458,6 +513,7 @@ def run_stage(
         "python": platform.python_version(),
         "numpy": _dist_version("numpy"),
         "scipy": _dist_version("scipy"),
+        **provenance,
     })
     trace = model.loss_trace
     loss_rows = ((i, *row) for i, row in enumerate(zip_longest(*trace.values())))
@@ -502,14 +558,7 @@ def report(rows: list[me.MetricsReport]) -> list[dict]:
     for row in rows:
         groups.setdefault((row.dataset, row.method, row.lam), []).append(row)
     out = []
-    metric_names = [
-        "mmd_retain",
-        "retention_accuracy",
-        "forget_rate",
-        "leakage",
-        "train_time_s",
-        "inference_ms_per_sample",
-    ]
+    metric_names = me.REPORT_COLUMNS[me.REPORT_COLUMNS.index("lam") + 1 :]  # every metric column
     for (dataset, method, lam), members in sorted(
         groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] if kv[0][2] is not None else -1.0)
     ):

@@ -13,9 +13,10 @@ bench_json = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_json)
 
 # prints what perfbench/run.py prints; op_ms_p50 is the checkout's speed
-# file plus the seed, a traced run prints one per-layer metric instead, and
-# each run logs its seed, checkout and tracing one level up. Like run.py it
-# writes its result.json (unless the checkout holds ``no_result``), with
+# file plus the seed, a traced run prints one per-layer metric instead (and
+# a second, the value in the checkout's ``sampler.txt``, when it has one),
+# and each run logs its seed, checkout and tracing one level up. Like run.py
+# it writes its result.json (unless the checkout holds ``no_result``), with
 # import_s seed / 100 and two warm-up operations of ms / 1000 and 1 s
 FAKE_RUN = textwrap.dedent('''
     import json, sys
@@ -36,6 +37,8 @@ FAKE_RUN = textwrap.dedent('''
                "work_per_s": {"value": 1000.0 / ms, "unit": "1/s"}}
     if args["--trace"] == "1":
         metrics = {"flow.ot_coupling_s": {"value": ms / 1000.0, "unit": "s/op"}}
+        if Path("sampler.txt").exists():
+            metrics["flow.model_sampler_s"] = {"value": float(Path("sampler.txt").read_text()), "unit": "s/op"}
     print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
 ''')
 
@@ -148,6 +151,7 @@ def test_a_crashed_run_keeps_the_runs_that_finished(tmp_path):
     assert entry["parent"]["metrics"]["op_ms_p50"]["values"] == [101.0]
     assert entry["change"]["metrics"]["op_ms_p50"]["values"] == [51.0]
     assert entry["change"]["traced"]["metrics"] == {}
+    assert "traced_gaps_change_over_parent" not in entry
     assert doc["workloads"]["refit"]["parent"]["metrics"] == {}
     assert doc["checkouts"]["change"]["environment"]["src_cflow_lines"] == 7
     failed = doc["failed_run"]
@@ -184,6 +188,30 @@ def test_gaps_and_the_gain_rule(tmp_path):
     entry = json.loads(out.read_text())["workloads"]["unlearn"]
     assert entry["wins_same_over_parent"]["op_ms_p50"] == "10/10"
     assert not entry["gaps_same_over_parent"]["op_ms_p50"]["gain_rule_holds"]
+
+
+def test_traced_gaps_give_both_medians_and_their_difference(tmp_path):
+    parent = _checkout(tmp_path / "parent", speed=100.0)
+    change = _checkout(tmp_path / "change", speed=50.0)
+    (parent / "sampler.txt").write_text("0.148")
+    (change / "sampler.txt").write_text("0.0")
+    out = tmp_path / "BENCH_0.json"
+    assert bench_json.main(["--out", str(out), "--seeds", "1-4", "--workloads", "refit",
+                            "--checkout", f"parent={parent}", "--checkout", f"change={change}"]) == 0
+    got = json.loads(out.read_text())["workloads"]["refit"]["traced_gaps_change_over_parent"]
+    # traced on seeds 1-3: OT 0.101..0.103 against 0.051..0.053; the sampler 0.148 against 0
+    assert got == {
+        "flow.ot_coupling_s": {"parent_median": 0.102, "change_median": 0.052,
+                               "difference": pytest.approx(-0.05)},
+        "flow.model_sampler_s": {"parent_median": 0.148, "change_median": 0.0, "difference": -0.148},
+    }
+    # a metric only one checkout traced has no gap
+    (parent / "sampler.txt").unlink()
+    (tmp_path / "calls.txt").unlink()
+    assert bench_json.main(["--out", str(out), "--seeds", "1-4", "--workloads", "refit",
+                            "--checkout", f"parent={parent}", "--checkout", f"change={change}"]) == 0
+    got = json.loads(out.read_text())["workloads"]["refit"]["traced_gaps_change_over_parent"]
+    assert set(got) == {"flow.ot_coupling_s"}
 
 
 def test_the_gain_rule_needs_ten_pairs_and_nine_wins():

@@ -404,6 +404,29 @@ class TestReportAggregation:
         assert err == f"error: {report}, line 3: {len(cells)} cells, not {len(good)}\n"
         assert not out.exists()
 
+    def test_an_empty_report_names_its_file(self, tmp_path, capsys):
+        report = self.finished_stage(tmp_path, [])
+        report.write_bytes(b"")
+        out = tmp_path / "summary.csv"
+        assert cli.main(["report", "--runs", str(tmp_path / "run"), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {report}: empty report, no header row\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column, text, reason", [
+        ("mmd_retain", "abc", "mmd_retain: could not convert string to float: 'abc'"),
+        ("seed", "1.5", "seed: invalid literal for int() with base 10: '1.5'"),
+        ("forget_rate", "1.5", "forget_rate must lie in [0, 1], got 1.5"),
+        ("mmd_retain", "nan", "mmd_retain must be non-negative, got nan"),
+    ], ids=["unparsed-float", "unparsed-int", "refused-rate", "refused-nan"])
+    def test_a_bad_cell_names_its_line_and_column(self, tmp_path, capsys, column, text, reason):
+        cells = self.row().to_row()
+        cells[me.MetricsReport.header().index(column)] = text
+        report = self.finished_stage(tmp_path, cells)
+        out = tmp_path / "summary.csv"
+        assert cli.main(["report", "--runs", str(tmp_path / "run"), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {report}, line 3, column {reason}\n"
+        assert not out.exists()
+
     def test_report_out_with_the_markdown_suffix_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a report was read before --out was checked")

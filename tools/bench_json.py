@@ -35,7 +35,10 @@ larger than that spread. Beside that rule, which it leaves as it is, each
 gap holds a ``paired`` figure over the seeds' ratios (last / first - 1):
 their median and quartiles, by the inclusive method of ``summary``, the
 pairs won with ties dropped, and the two-sided sign-test probability of
-that win count. Each checkout keeps perfbench's ``environment`` block and
+that win count. Beside the traced summaries, ``traced_gaps`` gives each
+per-layer metric's traced median in the first and the last checkout and
+their difference (no ratio: many of these medians are 0), which shows
+in which layer a change in an end-to-end metric appears. Each checkout keeps perfbench's ``environment`` block and
 its git commit.
 
 When a run crashes, prints no result or times out, the runs that finished
@@ -213,6 +216,19 @@ def paired(first: list[dict], last: list[dict], better: dict[str, str]) -> dict[
     return out
 
 
+def traced_gaps(first: dict, last: dict) -> dict[str, dict]:
+    """Per per-layer metric that both ``_entry`` summaries of traced runs
+    hold: ``first``'s median as ``parent_median``, ``last``'s as
+    ``change_median`` and their ``difference`` (last - first). No ratio,
+    since many medians are 0 (a layer that one workload never runs)."""
+    out = {}
+    for name, base in first["metrics"].items():
+        if name in last["metrics"]:
+            a, b = base["median"], last["metrics"][name]["median"]
+            out[name] = {"parent_median": a, "change_median": b, "difference": b - a}
+    return out
+
+
 def sign_test_p(won: int, lost: int) -> float:
     """Two-sided sign-test probability of ``won`` wins against ``lost``
     losses (ties dropped) when each pair is a fair coin."""
@@ -276,6 +292,10 @@ def main(argv=None) -> int:
             for name, figure in paired(by_label[first], by_label[last], better).items():
                 gap[name]["paired"] = figure
             entry[f"gaps_{last}_over_{first}"] = gap
+        if len(labels) > 1 and all(traced[workload][label] for label in labels):
+            first, last = labels[0], labels[-1]
+            entry[f"traced_gaps_{last}_over_{first}"] = traced_gaps(
+                entry[first]["traced"], entry[last]["traced"])
         workloads[workload] = entry
 
     doc = {
