@@ -238,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         CheckpointError,
         AutodiffError,
         flow.FullySuppressedBatchError,
-        ImportError,  # flow.ot_solver's scipy, imported on first use
+        ImportError,  # flow.ot_solver's scipy solver, loaded on first use
         ValueError,
         TypeError,
         OSError,

@@ -297,29 +297,39 @@ def export_csv(data: LabeledDataset, path: str | Path) -> None:
 def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read points (and labels when present) from an ``x,y[,label]`` CSV.
 
-    A malformed row raises ``ValueError`` naming the file and line.
+    A header other than ``x,y`` or ``x,y,label`` (cells stripped, any case),
+    a malformed row or text that is not UTF-8 raises ``ValueError`` naming
+    the file (and line).
     """
+    try:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+            return _read_points(csv.reader(fh), path)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_points(reader, path) -> tuple[np.ndarray, np.ndarray | None]:
     names = {v: k for k, v in LABEL_NAMES.items()}
     points, labels = [], []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty CSV, expected an x,y[,label] header")
-        has_label = len(header) >= 3 and header[2].strip().lower() == "label"
-        width = 3 if has_label else 2
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) < width:
-                raise ValueError(f"{where}: expected {width} fields, got {len(row)}")
-            try:
-                points.append((float(row[0]), float(row[1])))
-            except ValueError:
-                raise ValueError(f"{where}: coordinates {row[:2]} are not numbers") from None
-            if has_label:
-                label = row[2].strip().lower()
-                if label not in names:
-                    raise ValueError(f"{where}: unknown label {row[2]!r}, not retain or forget")
-                labels.append(names[label])
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty CSV, expected an x,y[,label] header")
+    if [cell.strip().lower() for cell in header] not in (["x", "y"], ["x", "y", "label"]):
+        raise ValueError(f"{path}, line 1: expected an x,y[,label] header, got {','.join(header)!r}")
+    width = len(header)
+    has_label = width == 3
+    for row in reader:
+        where = f"{path}, line {reader.line_num}"
+        if len(row) < width:
+            raise ValueError(f"{where}: expected {width} fields, got {len(row)}")
+        try:
+            points.append((float(row[0]), float(row[1])))
+        except ValueError:
+            raise ValueError(f"{where}: coordinates {row[:2]} are not numbers") from None
+        if has_label:
+            label = row[2].strip().lower()
+            if label not in names:
+                raise ValueError(f"{where}: unknown label {row[2]!r}, not retain or forget")
+            labels.append(names[label])
     pts = np.asarray(points, dtype=np.float64)
     return pts, (np.asarray(labels) if has_label else None)

@@ -194,8 +194,16 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check(self)
-        if self.pipeline == "sweep-lambda" and not self.lambda_grid:
+        if self.pipeline != "sweep-lambda":
+            return
+        if not self.lambda_grid:
             raise ConfigError("sweep-lambda requires a non-empty lambda_grid")
+        arms = {}
+        for lam in self.lambda_grid:
+            arm = _arm_dir(lam)
+            if arm in arms:
+                raise ConfigError(f"lambda_grid values {arms[arm]!r} and {lam!r} both run in sweep/{arm}")
+            arms[arm] = lam
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -530,6 +538,11 @@ def run_stage(
     return RunArtifact(stage=stage.dir, stage_dir=stage_dir, ckpt_path=ckpt, rows=rows)
 
 
+def _arm_dir(lam: float) -> str:
+    """The directory under ``sweep/`` of the arm with scale ``lam``."""
+    return f"lam_{lam:g}"
+
+
 def run(spec: ExperimentSpec) -> RunArtifact | list[RunArtifact]:
     """Execute the spec's pipeline; returns its artifact(s).
 
@@ -540,7 +553,7 @@ def run(spec: ExperimentSpec) -> RunArtifact | list[RunArtifact]:
         return run_stage(spec, spec.pipeline)
     sweep = Path(spec.out) / "sweep"
     artifacts = [
-        run_stage(spec, "unlearn-erfm", lam=lam, stage_dir=sweep / f"lam_{lam:g}")
+        run_stage(spec, "unlearn-erfm", lam=lam, stage_dir=sweep / _arm_dir(lam))
         for lam in spec.lambda_grid
     ]
     write_report_csv(sweep / "report.csv", [row for art in artifacts for row in art.rows])

@@ -150,3 +150,10 @@ class TestCsv:
         pts, labels = ds.load_csv(path)
         np.testing.assert_array_equal(pts, data.points)
         np.testing.assert_array_equal(labels, data.labels)
+
+    def test_header_cells_are_stripped_and_caseless(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("\ufeff X , Y ,Label\n0.5,0.25,forget\n", encoding="utf-8")
+        pts, labels = ds.load_csv(path)
+        np.testing.assert_array_equal(pts, [[0.5, 0.25]])
+        assert labels.tolist() == [1]

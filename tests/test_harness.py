@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cflow import cli
@@ -78,6 +78,16 @@ def learned_cli_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("learned-cli")
     cfg = write_config(tmp / "exp.yaml", tiny_config(tmp))
     assert cli.main(["train", "--config", str(cfg)]) == 0
+    return tmp / "run"
+
+
+@pytest.fixture(scope="module")
+def unlearned_cli_run(learned_cli_run, tmp_path_factory):
+    """``learned_cli_run`` with its ``cflow unlearn`` done; copy it before changing it."""
+    tmp = tmp_path_factory.mktemp("unlearned-cli")
+    shutil.copytree(learned_cli_run, tmp / "run")
+    cfg = write_config(tmp / "exp.yaml", tiny_config(tmp))
+    assert cli.main(["unlearn", "--config", str(cfg)]) == 0
     return tmp / "run"
 
 
@@ -145,6 +155,14 @@ class TestConfigParsing:
     def test_every_constructor_checks(self, tmp_path, build):
         with pytest.raises(harness.ConfigError):
             build(tiny_spec(tmp_path))
+
+    @pytest.mark.parametrize("grid", [[0.5, 0.5], [0.5, 2.0, 0.5000001]], ids=["equal", "same-name"])
+    def test_sweep_arms_sharing_a_directory_are_refused(self, tmp_path, capsys, grid):
+        cfg = write_config(tmp_path / "exp.yaml", tiny_config(tmp_path, lambda_grid=grid))
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: lambda_grid values 0.5 and {grid[-1]!r} both run in sweep/lam_0.5\n"
+        assert not (tmp_path / "run").exists()
 
     def test_eval_n_is_bounded(self, tmp_path):
         assert tiny_spec(tmp_path, eval_n=me.MAX_EVAL_N).eval_n == me.MAX_EVAL_N
@@ -644,6 +662,26 @@ class TestCli:
         assert read_tree(run / "learn") == before
         assert "ckpt.bin" in before
 
+    @settings(max_examples=8, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kept=st.floats(0.0, 1.0, exclude_max=True))
+    def test_unlearn_on_a_truncated_prior_leaves_its_stage_unchanged(self, unlearned_cli_run, tmp_path,
+                                                                     capsys, kept):
+        run = tmp_path / "run"
+        shutil.rmtree(run, ignore_errors=True)
+        shutil.copytree(unlearned_cli_run, run)
+        cfg = write_config(tmp_path / "exp.yaml", tiny_config(tmp_path))
+        prior = run / "learn" / "ckpt.bin"
+        data = prior.read_bytes()
+        prior.write_bytes(data[:int(kept * len(data))])
+        before = read_tree(run / "unlearn")
+        capsys.readouterr()
+        assert cli.main(["unlearn", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert read_tree(run / "unlearn") == before
+        assert "ckpt.bin" in before
+
     @pytest.mark.parametrize(
         "command, coupling, message",
         [
@@ -810,8 +848,11 @@ class TestCli:
             ("x,y,label\n0.5,0.5,retain\n0.25\n", "line 3: expected 3 fields, got 1"),
             ("x,y,label\n0.5,0.5,keep\n", "line 2: unknown label 'keep'"),
             ("x,y\n0.5,zero\n", "line 2: coordinates"),
+            ("0.1,0.2\n0.3,0.4\n0.5,0.6\n", "line 1: expected an x,y[,label] header, got '0.1,0.2'"),
+            ("y,x\n0.5,0.25\n", "line 1: expected an x,y[,label] header, got 'y,x'"),
+            ("x,y,z\n0.5,0.25,1.0\n", "line 1: expected an x,y[,label] header, got 'x,y,z'"),
         ],
-        ids=["short-row", "unknown-label", "bad-number"],
+        ids=["short-row", "unknown-label", "bad-number", "headerless", "swapped-header", "third-column"],
     )
     def test_malformed_points_csv_exit_code(self, tmp_path, capsys, rows, message):
         pts_csv = tmp_path / "pts.csv"
@@ -823,10 +864,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{pts_csv}, {message}" in err and err.count("\n") == 1
 
+    def test_a_points_csv_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        pts_csv = tmp_path / "pts.csv"
+        pts_csv.write_bytes(b"x,y\n0.5,\xff0.25\n")
+        espec = tmp_path / "energy.yaml"
+        espec.write_text("kind: analytic\nbenchmark: circles\nlam: 5.0\n")
+        assert cli.main(["energy", "eval", "--spec", str(espec), "--points", str(pts_csv),
+                         "--out", str(tmp_path / "scored.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pts_csv}: not UTF-8 text") and err.count("\n") == 1
+
 
 # a fresh interpreter running the command line, since this process has
-# imported scipy already; ``flow.ot_solver`` imports it on first use
-BLOCK_SOLVER = "import sys; sys.modules['scipy.optimize'] = None\n"
+# imported scipy already; ``flow.ot_solver`` loads its solver on first use
+BLOCK_SOLVER = "import sys; sys.modules['scipy'] = None\n"
 FRESH_CLI = "import sys\nfrom cflow import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
 # records the threads that load a scipy module: a finder at the head of
 # sys.meta_path is asked only for modules not yet in sys.modules
@@ -881,8 +932,25 @@ class TestScipyOnlyForOt:
         """)
         out = run_python(code)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "[] True True", out.stdout
+        # the OT jobs solved with the compiled solver alone: scipy.optimize never ran
+        assert out.stdout.splitlines()[-1] == "[] False True", out.stdout
         assert yaml.safe_load((run / "unlearn" / "meta.yaml").read_text())["scipy"] is not None
+
+    def test_a_refit_run_leaves_scipy_optimize_unimported(self, learned_cli_run, tmp_path):
+        shutil.copytree(learned_cli_run, tmp_path / "run")
+        cfg = write_config(tmp_path / "exp.yaml", tiny_config(tmp_path))
+        code = textwrap.dedent(f"""
+            import sys
+            from cflow.cli import main
+
+            if main(["refit", "--config", {str(cfg)!r}]) != 0:
+                sys.exit("cflow refit failed")
+            print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+        """)
+        out = run_python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]", out.stdout
+        assert (tmp_path / "run" / "refit" / "ckpt.bin").is_file()
 
     def test_a_missing_solver_refuses_refit_before_it_changes_a_file(self, learned_cli_run, tmp_path):
         run = tmp_path / "run"
@@ -899,3 +967,54 @@ class TestScipyOnlyForOt:
         # a stage that does not solve OT runs without it
         out = run_python(BLOCK_SOLVER + FRESH_CLI, "train", "--config", cfg)
         assert out.returncode == 0, out.stderr
+
+    def test_the_loaded_solver_assigns_as_the_public_one(self):
+        # a fresh interpreter, so that scipy.optimize is imported only after every solve
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from cflow import flow
+
+            rng = np.random.default_rng(20)
+            costs = [rng.normal(size=shape) for shape in [(1, 1), (7, 7), (64, 64), (5, 9), (9, 5)]]
+            costs += [rng.integers(0, k, size=(n, n)).astype(float) for n, k in [(8, 2), (32, 3), (64, 4)]]
+            costs += [np.zeros((6, 6)), np.ones((4, 7))]
+            loaded = [flow.ot_solver()(c) for c in costs]
+            alone = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+            from scipy.optimize import linear_sum_assignment
+            public = [linear_sum_assignment(c) for c in costs]
+            same = all(np.array_equal(a, b) for x, y in zip(loaded, public) for a, b in zip(x, y))
+            print(alone, same, len(costs))
+        """)
+        out = run_python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[] True 10", out.stdout
+
+    def test_a_missed_lookup_falls_back_to_the_public_solver(self, monkeypatch):
+        from scipy.optimize import linear_sum_assignment
+
+        cfg = flow.TrainConfig(steps=12, batch=32, hidden=(8,))
+        target = ds.generate("circles", 256, 0)
+
+        def refit():
+            source = ds.EmpiricalSampler(np.random.default_rng(3).normal(size=(300, 2)), seed=[3, 1])
+            x0, x1 = np.random.default_rng(7).normal(size=(2, 48, 2))
+            return flow.ot_coupling(x0, x1), flow.train(cfg, source, target, mode="refit-ot")
+
+        flow.ot_solver.cache_clear()
+        loaded_coupling, loaded = refit()
+        assert flow._lsap_spec() is not None
+        try:
+            flow.ot_solver.cache_clear()
+            monkeypatch.setattr(flow, "EXTENSION_SUFFIXES", [])  # the extension's file is not found
+            assert flow._lsap_spec() is None
+            public_coupling, public = refit()
+            assert flow.ot_solver() is linear_sum_assignment
+        finally:
+            flow.ot_solver.cache_clear()
+
+        np.testing.assert_array_equal(public_coupling.x1, loaded_coupling.x1)
+        assert public_coupling.cost == loaded_coupling.cost
+        assert public.loss_trace == loaded.loss_trace
+        np.testing.assert_array_equal(public.field.theta, loaded.field.theta)
