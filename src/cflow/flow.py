@@ -113,6 +113,9 @@ marks only. The loop calls no name a tracer wraps. ``integrate`` stays
 the public reference integrator; nothing in the package calls it.
 A model trained on top of another model's outputs keeps that parent in its
 chain, so generation always starts from the standard Gaussian root.
+``FlowModel.finish`` carries ``base_states`` through the model's own stage
+alone, with ``sample``'s bits by the row-range rules above, so a caller
+may store the rest (``metrics.evaluate_model``'s ``base``).
 """
 
 from __future__ import annotations
@@ -508,6 +511,10 @@ class FlowModel:
             x = self.parent.push(x, n_steps=n_steps)
         return x
 
+    def finish(self, base: np.ndarray) -> np.ndarray:
+        """``base_states`` carried through this model's own stage: ``sample``'s bits."""
+        return _in_shares([(self.field, self.n_steps)], base, {self.n_steps})[0]
+
     def sample(self, n: int, n_steps: int | None = None, seed=0) -> np.ndarray:
         x = GaussianSampler(seed, dim=self.dim).sample(n)
         return self.push(x, n_steps=n_steps)
@@ -790,6 +797,11 @@ def load_model(path: str | Path) -> FlowModel:
         if stage_steps < 1:
             raise CheckpointError(f"stage {i} has a zero step count")
         net, _ = mlp_from_buffer(buf)
+        d = net.out_dim if model is None else model.dim
+        if (net.in_dim, net.out_dim) != (d + 1, d):
+            raise CheckpointError(f"{path}: stage {i} is not a field of {d}-vectors: {net.widths}")
         own = provenance if i == chain_len - 1 else {}
         model = FlowModel(net, parent=model, n_steps=stage_steps, provenance=own)
+    if buf.read(1):
+        raise CheckpointError(f"{path}: bytes after the last of {chain_len} stages")
     return model

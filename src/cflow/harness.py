@@ -8,8 +8,9 @@ touches its directory. A run produces artifacts under ``<out>/<stage>/``:
 
     config.yaml   resolved spec echoed verbatim (re-runnable on its own)
     meta.yaml     seed, stage, config hash; BLAS threads, inference threads, CPUs;
-                  Python, numpy and scipy versions; the prior's ckpt.bin sha256
-                  and, for a model-source pool, its sha256 and drawn or read
+                  Python, numpy and scipy versions; the classifier.bin sha256,
+                  the prior's ckpt.bin sha256 and, for a model-source pool, its
+                  sha256 and drawn or read
     ckpt.bin      model checkpoint
     loss.csv      per-step training loss (plus OT costs when applicable)
     traj.csv      integration snapshots of the trained stage
@@ -23,12 +24,14 @@ model from the ``learn`` stage; energy inversion needs the unlearned model.
 Missing dependencies are reported by naming the stage that must run first;
 ``ckpt.bin`` is written last, so its presence means the stage finished.
 The stages share ``<out>/classifier/``: ``classifier.bin`` and a
-``meta.yaml`` with the benchmark, seed and ``data_n`` it was trained for,
-its held-out accuracy and the config hash. It is reused only while those
-three match the spec; otherwise it is trained again. A model-source pool is
-kept in ``<out>/source_pool/<prior stage dir>.bin`` and read only while its
-size, key and data digest match (``_model_source``); otherwise it is drawn
-again and the file replaced atomically.
+``meta.yaml`` with its key (benchmark, seed, ``data_n``, ``ClassifierConfig``
+and numpy version), sha256, held-out accuracy and config hash; it is reused
+only while key and sha256 match. ``_prior_draws`` keeps the seeded pushes
+through a prior chain that stages repeat (model-source pool, trajectory and
+eval seed base states) in ``<out>/source_pool/<prior stage dir>.bin``,
+``.traj.bin`` and ``.eval<seed>.bin``, read only while size, digest and
+key (the prior's ``ckpt.bin`` sha256, seed stream, row and step counts,
+numpy version) match, else drawn again and replaced atomically.
 All randomness derives from the spec seed, so re-running a config
 reproduces its checkpoints bit-exactly.
 """
@@ -261,21 +264,28 @@ def _classifier_path(spec: ExperimentSpec) -> Path:
     return Path(spec.out) / "classifier" / "classifier.bin"
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def ensure_classifier(spec: ExperimentSpec) -> en.BinaryClassifier:
     """The benchmark's retain/forget classifier: the cached one when its
-    ``meta.yaml`` records the spec's benchmark, seed and ``data_n``, else a
-    newly trained one that replaces the cache."""
+    ``meta.yaml`` records the spec's key and the sha256 of
+    ``classifier.bin``, else a newly trained one that replaces the cache."""
     path = _classifier_path(spec)
     meta = path.parent / "meta.yaml"
-    key = {"benchmark": spec.benchmark, "seed": spec.seed, "data_n": spec.data_n}
+    cfg = en.ClassifierConfig(seed=spec.seed)
+    key = _plain({"benchmark": spec.benchmark, "seed": spec.seed, "data_n": spec.data_n,
+                  "classifier": asdict(cfg), "numpy": _dist_version("numpy")})
     if path.exists() and meta.exists():
         try:
             recorded = yaml.safe_load(meta.read_text())
         except (yaml.YAMLError, UnicodeDecodeError):
             recorded = None  # unreadable: train again
-        if isinstance(recorded, dict) and all(recorded.get(k) == v for k, v in key.items()):
+        expected = {**key, "classifier_sha256": _sha256(path)}
+        if isinstance(recorded, dict) and all(recorded.get(k) == v for k, v in expected.items()):
             return en.load_classifier(path)
-    clf = en.train_classifier(_train_dataset(spec), en.ClassifierConfig(seed=spec.seed))
+    clf = en.train_classifier(_train_dataset(spec), cfg)
     # without its meta.yaml a half-replaced cache is never reused
     meta.unlink(missing_ok=True)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -283,6 +293,7 @@ def ensure_classifier(spec: ExperimentSpec) -> en.BinaryClassifier:
     _write_yaml(meta, {
         "stage": "classifier",
         **key,
+        "classifier_sha256": _sha256(path),
         "holdout_accuracy": clf.holdout_accuracy,
         "config_sha256": spec.config_hash(),
     })
@@ -391,24 +402,20 @@ def _write_pool(path: Path, key: bytes, pool: np.ndarray) -> None:
             partial.unlink(missing_ok=True)
 
 
-def _model_source(spec: ExperimentSpec, model: flow.FlowModel, prior_dir: str, prior_sha256: str):
-    """Sampler over a model's outputs and the ``meta.yaml`` fields of its pool,
-    drawn once per key (the prior's ``ckpt.bin`` sha256, seed, pool size, steps
-    and numpy version) and kept in ``<out>/source_pool/<prior_dir>.bin``."""
-    steps = spec.source_steps or None
-    if not spec.source_pool:
-        return flow.ModelSampler(model, seed=[spec.seed, _TAG_Q0], n_steps=steps), {}
-    path = Path(spec.out) / "source_pool" / f"{prior_dir}.bin"
-    parts = (prior_sha256, spec.seed, spec.source_pool, spec.source_steps, _dist_version("numpy"))
-    key = hashlib.sha256(repr(parts).encode()).digest()
-    pool = _read_pool(path, key, (spec.source_pool, model.dim))
-    cache = "drawn" if pool is None else "read"
-    if pool is None:
-        sampler = flow.ModelSampler(model, seed=[spec.seed, _TAG_Q0, 1], n_steps=steps)
-        pool = np.ascontiguousarray(sampler.sample(spec.source_pool), dtype="<f8")
-        _write_pool(path, key, pool)
-    meta = {"source_pool_sha256": hashlib.sha256(pool).hexdigest(), "source_pool_cache": cache}
-    return ds.EmpiricalSampler(pool, seed=[spec.seed, _TAG_Q0, 2]), meta
+def _prior_draws(spec: ExperimentSpec, prior: flow.FlowModel, prior_sha256: str, name: str, seed, n: int,
+                 n_steps: int = 0, stream=None) -> tuple[np.ndarray, str]:
+    """``n`` Gaussian rows of ``stream`` (default ``seed``, the key's) pushed
+    through ``prior`` at ``n_steps`` per stage (0: each stage's own) and
+    ``drawn`` or ``read``, from ``<out>/source_pool/<name>.bin``."""
+    path = Path(spec.out) / "source_pool" / f"{name}.bin"
+    key = hashlib.sha256(repr((prior_sha256, seed, n, n_steps, _dist_version("numpy"))).encode()).digest()
+    rows = _read_pool(path, key, (n, prior.dim))
+    if rows is not None:
+        return rows, "read"
+    sampler = flow.ModelSampler(prior, seed=seed if stream is None else stream, n_steps=n_steps or None)
+    rows = np.ascontiguousarray(sampler.sample(n), dtype="<f8")
+    _write_pool(path, key, rows)
+    return rows, "drawn"
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -466,7 +473,8 @@ def run_stage(
         flow.ot_solver()
     prior_ckpt = _require_ckpt(spec, stage.prior) if stage.prior else None
     prior = flow.load_model(prior_ckpt) if prior_ckpt else None
-    provenance = {"prior_ckpt_sha256": hashlib.sha256(prior_ckpt.read_bytes()).hexdigest()} if prior else {}
+    prior_sha256 = _sha256(prior_ckpt) if prior else None
+    provenance = {"prior_ckpt_sha256": prior_sha256} if prior else {}
     stage_dir = stage_dir or Path(spec.out) / stage.dir
 
     cfg = spec.train
@@ -480,6 +488,7 @@ def run_stage(
     else:
         lam = None
     clf = ensure_classifier(spec)
+    provenance["classifier_sha256"] = _sha256(_classifier_path(spec))
     if stage.target in ("data", "retain"):
         target = _train_dataset(spec)
         target = target.subset(ds.RETAIN) if stage.target == "retain" else target
@@ -492,9 +501,13 @@ def run_stage(
     source = spec.unlearn_source if stage.source == "unlearn_source" else stage.source
     if source == "gaussian":
         q0 = ds.GaussianSampler(seed=[spec.seed, _TAG_Q0])
-    elif source == "model":
-        q0, pool_meta = _model_source(spec, prior, STAGES[stage.prior].dir, provenance["prior_ckpt_sha256"])
-        provenance.update(pool_meta)
+    elif source == "model" and spec.source_pool:
+        pool, cache = _prior_draws(spec, prior, prior_sha256, STAGES[stage.prior].dir, spec.seed,
+                                   spec.source_pool, spec.source_steps, stream=[spec.seed, _TAG_Q0, 1])
+        provenance.update(source_pool_sha256=hashlib.sha256(pool).hexdigest(), source_pool_cache=cache)
+        q0 = ds.EmpiricalSampler(pool, seed=[spec.seed, _TAG_Q0, 2])
+    elif source == "model":  # source_pool: 0, a draw per step
+        q0 = flow.ModelSampler(prior, seed=[spec.seed, _TAG_Q0], n_steps=spec.source_steps or None)
     else:
         q0 = ds.EmpiricalSampler(_train_dataset(spec).points, seed=[spec.seed, _TAG_Q0])
     fresh = stage.mode == "refit-ot" or (pipeline == "unlearn-erfm" and spec.unlearn_init == "fresh")
@@ -526,11 +539,18 @@ def run_stage(
     trace = model.loss_trace
     loss_rows = ((i, *row) for i, row in enumerate(zip_longest(*trace.values())))
     ds.write_csv(stage_dir / "loss.csv", ["step", *trace], loss_rows)
-    x0 = model.base_states(512, seed=[spec.seed, _TAG_TRAJ])
+
+    def base_states(use: str, seed, n: int) -> np.ndarray:  # the states entering the model's own stage
+        if parent is None:
+            return model.base_states(n, seed=seed)
+        return _prior_draws(spec, parent, prior_sha256, f"{STAGES[stage.prior].dir}.{use}", seed, n)[0]
+
+    x0 = base_states("traj", [spec.seed, _TAG_TRAJ], 512)
     snaps = flow.trajectory(model, x0, model.n_steps, min(5, model.n_steps + 1))
     write_traj_csv(stage_dir / "traj.csv", snaps)
+    bases = [base_states(f"eval{s}", [s, me.EVAL_DRAW_TAG], spec.eval_n) for s in spec.eval_seeds]
     rows = me.evaluate_rows(model, spec.benchmark, clf, spec.eval_n, spec.eval_seeds, method=stage.dir,
-                            lam=lam, train_time_s=train_time_s, timing_seed=spec.seed)
+                            lam=lam, train_time_s=train_time_s, timing_seed=spec.seed, bases=bases)
     write_report_csv(stage_dir / "report.csv", rows)
     partial = stage_dir / "ckpt.bin.partial"
     flow.save_model(model, partial)

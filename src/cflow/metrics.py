@@ -51,6 +51,9 @@ KERNEL_BLOCK_ROWS = 64
 # source_pool, train.batch): 16x the largest shipped plan (a 65,536-point
 # source pool), where one 64-wide float64 activation is 512 MiB
 MAX_ROWS = 2**20
+# seed-stream tags of an evaluation seed's held-out data and generated batch
+EVAL_DATA_TAG = 0x6576616C
+EVAL_DRAW_TAG = 0x67656E
 
 
 @dataclass(frozen=True)
@@ -234,6 +237,7 @@ def evaluate_model(
     lam: float | None = None,
     train_time_s: float | None = None,
     inference_ms: float | None = None,
+    base: np.ndarray | None = None,
 ) -> MetricsReport:
     """Assemble one report row for a trained generator.
 
@@ -242,14 +246,18 @@ def evaluate_model(
     accuracy of the classifier on its labeled rows, forget rate and
     leakage on the generated batch. ``n_eval`` may be at most
     ``MAX_EVAL_N`` (see ``mmd2``); a larger one raises ``ConfigError``
-    before anything is drawn.
+    before anything is drawn. Only the model's own stage is integrated, from
+    ``base`` (default ``model.base_states(n_eval, seed=[eval_seed,
+    EVAL_DRAW_TAG])``): the bits of ``model.sample`` on that stream.
     """
     check_count("n_eval", n_eval, MAX_EVAL_N)
     # held-out evaluation data: same law, seed stream disjoint from training
-    retain = generate(dataset_name, 4 * n_eval, seed=[eval_seed, 0x6576616C]).retain_points
+    retain = generate(dataset_name, 4 * n_eval, seed=[eval_seed, EVAL_DATA_TAG]).retain_points
     if retain.shape[0] < n_eval:
         raise ValueError("held-out retain subset smaller than n_eval")
-    generated = model.sample(n_eval, seed=[eval_seed, 0x67656E])
+    if base is None:
+        base = model.base_states(n_eval, seed=[eval_seed, EVAL_DRAW_TAG])
+    generated = model.finish(base)
     real = retain[:n_eval]
     # accuracy is scored on real held-out retained samples (labels all retain)
     acc_labels = np.full(retain.shape[0], RETAIN)
@@ -271,13 +279,15 @@ def evaluate_model(
 def evaluate_rows(
     model, dataset_name: str, classifier: BinaryClassifier, n_eval: int, eval_seeds, *,
     method: str, lam: float | None = None, train_time_s: float | None = None, timing_seed: int = 0,
+    bases=None,
 ) -> list[MetricsReport]:
     """One ``evaluate_model`` row per eval seed, each with the
-    ``inference_ms_per_sample`` of one timing draw seeded ``timing_seed``.
+    ``inference_ms_per_sample`` of one timing draw seeded ``timing_seed``
+    and, when ``bases`` is given, its seed's ``base`` from it.
     A harness stage and ``cflow eval run`` both score a model this way."""
     inference_ms = measure_inference_ms(model, seed=timing_seed)
     return [
         evaluate_model(model, dataset_name, classifier, n_eval=n_eval, eval_seed=seed, method=method,
-                       lam=lam, train_time_s=train_time_s, inference_ms=inference_ms)
-        for seed in eval_seeds
+                       lam=lam, train_time_s=train_time_s, inference_ms=inference_ms, base=base)
+        for seed, base in zip(eval_seeds, bases or [None] * len(eval_seeds))
     ]

@@ -40,8 +40,8 @@ def report_pass(criterion: str, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-# the chains' serial wall clock on a 2-vCPU Xeon VM was checkerboard 39.0 s,
-# circles 34.3 s, gaussians6 27.8 s and moons 9.6 s
+# the chains' serial wall clock on a 2-vCPU Xeon VM was checkerboard 29.7 s,
+# circles 26.2 s, gaussians6 19.4 s and moons 6.7 s
 LONGEST_FIRST = ("checkerboard", "circles", "gaussians6", "moons")
 
 

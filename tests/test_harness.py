@@ -10,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +323,45 @@ class TestClassifierCache:
         # one load each: the unlearn stage's energy and its scores share it
         assert loads == [clf, clf]
         assert _sha256(clf) == before
+
+    def test_a_flipped_sign_bit_retrains_and_every_stage_records_the_digest(self, tmp_path, monkeypatch):
+        spec = tiny_spec(tmp_path, energy={"kind": "classifier", "lam": 5.0})
+        harness.run(spec)
+        clf = _classifier_dir(spec) / "classifier.bin"
+        good = clf.read_bytes()
+        # the sign bit of the first weight: the last byte of its little-endian float64
+        first_weight = len(good) - 8 * en.load_classifier(clf).net.theta.size
+        damaged = bytearray(good)
+        damaged[first_weight + 7] ^= 0x80
+        clf.write_bytes(bytes(damaged))
+        trained = []
+        train = en.train_classifier
+        monkeypatch.setattr(en, "train_classifier", lambda *a, **kw: trained.append(1) or train(*a, **kw))
+
+        art = harness.run(spec.with_pipeline("unlearn-erfm"))
+        assert trained == [1]
+        assert clf.read_bytes() == good
+        meta = yaml.safe_load((_classifier_dir(spec) / "meta.yaml").read_text())
+        assert meta["classifier_sha256"] == _sha256(clf)
+        assert meta["numpy"] == importlib.metadata.version("numpy")
+        assert meta["classifier"] == harness._plain(asdict(en.ClassifierConfig(seed=spec.seed)))
+        stage_meta = yaml.safe_load((art.stage_dir / "meta.yaml").read_text())
+        assert stage_meta["classifier_sha256"] == _sha256(clf)
+        harness.run(spec.with_pipeline("unlearn-erfm"))
+        assert trained == [1]
+
+    def test_another_numpy_version_retrains(self, tmp_path, monkeypatch):
+        spec = tiny_spec(tmp_path)
+        harness.run(spec)
+        trained = []
+        train = en.train_classifier
+        monkeypatch.setattr(en, "train_classifier", lambda *a, **kw: trained.append(1) or train(*a, **kw))
+        real = harness._dist_version
+        monkeypatch.setattr(harness, "_dist_version", lambda name: "0.0" if name == "numpy" else real(name))
+        harness.run(spec)
+        assert trained == [1]
+        meta = yaml.safe_load((_classifier_dir(spec) / "meta.yaml").read_text())
+        assert meta["numpy"] == "0.0"
 
 
 class TestDeterminismAndSufficiency:

@@ -4,13 +4,16 @@ a classifier whose kind tag no longer names one, ``ConfigError``), never
 another error; ``cflow sample`` on one exits 0 or 4 with one line, and 4
 when it is cut short; and a ``cflow unlearn`` whose prior is cut short
 exits 4 and leaves the existing ``unlearn/`` byte for byte (in
-``test_harness``, beside the other refused stages)."""
+``test_harness``, beside the other refused stages). A flow checkpoint whose
+chain has a field that does not map d + 1 columns to d, or bytes after its
+last stage, is refused by the loader."""
 
 import functools
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -102,3 +105,32 @@ def test_cflow_sample_on_a_damaged_checkpoint_gives_one_line(tmp_path, capsys, d
     if kind == "truncated":
         assert code == 4
     assert (code, err) == (0, "") or (code == 4 and err.startswith("error: ") and err.count("\n") == 1), err
+
+
+def width_flipped(stage: int) -> bytes:
+    """``flow_bytes`` with the first width of ``stage`` flipped from 3 to 2."""
+    data = flow_bytes()
+    at = -1
+    for _ in range(stage + 1):
+        at = data.index(b"velocity", at + 1)
+    widths = at + len("velocity") + 4  # past the tag and the width count
+    assert data[widths] == 3
+    return flipped(data, 8 * widths)
+
+
+MISSHAPEN = {
+    "root-width-3-to-2": lambda: width_flipped(0),
+    "top-width-3-to-2": lambda: width_flipped(1),
+    "one-byte-appended": lambda: flow_bytes() + b"\0",
+}
+
+
+@pytest.mark.parametrize("shape", MISSHAPEN)
+def test_a_misshapen_chain_is_refused_by_the_loader_and_cflow_sample(tmp_path, capsys, shape):
+    path = write(tmp_path, "ckpt.bin", MISSHAPEN[shape]())
+    with pytest.raises(CheckpointError):
+        flow.load_model(path)
+    code = cli.main(["sample", "--ckpt", str(path), "--n", "16", "--steps", "2", "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert code == 4 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "s.csv").exists()
