@@ -97,10 +97,6 @@ class LabeledDataset:
     def retain_points(self) -> np.ndarray:
         return self.points[self.labels == RETAIN]
 
-    @property
-    def forget_points(self) -> np.ndarray:
-        return self.points[self.labels == FORGET]
-
     def subset(self, label: int) -> "LabeledDataset":
         mask = self.labels == label
         return LabeledDataset(

@@ -18,14 +18,13 @@ gradient needs once, and returns a ``Tensor`` whose ``backward()`` calls
 buffers the network keeps for its last batch size, so a step allocates no
 activation arrays; ``backward`` takes only the cache of the last ``forward``.
 
-``forward_raw``, the inference pass of every scorer and of
-``FlowModel.velocity``, carries a contiguous run of rows through the hidden
-layers block by block (``_hidden_rows``); one matmul over all rows then
-applies the output layer. The hidden layers of a block, and of a
-sampler's range below two blocks, go through one loop, ``_run_hidden``,
-into arrays the caller owns: a run of blocks writes every block through
-one buffer pair, and a sampler's range sets up its plan once
-(``_layer_plan``) with each bias broadcast to its rows, since
+``forward_raw``, the inference pass of every scorer, carries a contiguous
+run of rows through the hidden layers block by block (``_hidden_rows``);
+one matmul over all rows then applies the output layer. The hidden layers
+of a block, and of a sampler's range below two blocks, go through one
+loop, ``_run_hidden``, into arrays the caller owns: a run of blocks writes
+every block through one buffer pair, and a sampler's range sets up its
+plan once (``_layer_plan``) with each bias broadcast to its rows, since
 ``np.add(out, bias_rows, out=out)`` is the same IEEE add as ``out += b``
 without numpy's row-at-a-time broadcast (35 -> 19 us per 1,024x64 block).
 A run of blocks keeps the plain bias: tiling it in each run raised a

@@ -80,8 +80,7 @@ left in ``sys.modules``, so a later ``import scipy.optimize`` runs as
 usual; where the file is not found (another scipy layout), ``ot_solver``
 takes the public import instead. The first load runs on the thread that
 asked for OT, never in a pool job: ``_ot_steps`` calls ``ot_solver``
-before it submits a job, and ``harness.run_stage`` before it changes the
-stage directory, so a missing scipy fails an OT stage before it starts.
+before it submits a job.
 
 Sampling integrates the learned ODE with forward Euler over t in [0, 1]
 in one loop, ``_share_steps``, for every draw through ``FlowModel.push``
@@ -484,18 +483,6 @@ class FlowModel:
     @property
     def dim(self) -> int:
         return self.field.out_dim
-
-    def velocity(self, t, x) -> np.ndarray:
-        """This model's own field at time ``t`` (a scalar or one per row) on
-        points ``x`` (n, d), evaluated by the inference forward pass."""
-        _check_points(self.field, x)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("t must be finite")
-        d = self.dim
-        rows = np.empty((len(x), d + 1))
-        rows[:, :d] = x
-        rows[:, d] = t
-        return self.field.forward_raw(rows)
 
     def push(self, x: np.ndarray, n_steps: int | None = None) -> np.ndarray:
         """Transport points through the whole chain ending at this field

@@ -21,9 +21,10 @@ training mode, prior stage, source and target) and ``run_stage`` runs any
 row; the sweep runs the unlearn row once per lambda. Stages form a
 dependency chain: unlearning, refitting and fine-tuning need the pretrained
 model from the ``learn`` stage; energy inversion needs the unlearned model.
-Missing dependencies are reported by naming the stage that must run first;
-``ckpt.bin`` is written last, so its presence means the stage finished.
-The stages share ``<out>/classifier/``: ``classifier.bin`` and a
+Missing dependencies are reported by naming the stage that must run first.
+A stage directory holds one finished stage or nothing: ``_publish`` builds
+it in ``<stage>.partial/`` and swaps it in whole. The stages share
+``<out>/classifier/``, published the same way: ``classifier.bin`` and a
 ``meta.yaml`` with its key (benchmark, seed, ``data_n``, ``ClassifierConfig``
 and numpy version), sha256, held-out accuracy and config hash; it is reused
 only while key and sha256 match. ``_prior_draws`` keeps the seeded pushes
@@ -45,6 +46,7 @@ import hashlib
 import importlib.metadata
 import os
 import platform
+import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
@@ -286,17 +288,15 @@ def ensure_classifier(spec: ExperimentSpec) -> en.BinaryClassifier:
         if isinstance(recorded, dict) and all(recorded.get(k) == v for k, v in expected.items()):
             return en.load_classifier(path)
     clf = en.train_classifier(_train_dataset(spec), cfg)
-    # without its meta.yaml a half-replaced cache is never reused
-    meta.unlink(missing_ok=True)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_mlp(clf.net, path, kind=f"classifier:{spec.benchmark}")
-    _write_yaml(meta, {
-        "stage": "classifier",
-        **key,
-        "classifier_sha256": _sha256(path),
-        "holdout_accuracy": clf.holdout_accuracy,
-        "config_sha256": spec.config_hash(),
-    })
+    with _publish(path.parent) as partial:
+        save_mlp(clf.net, partial / path.name, kind=f"classifier:{spec.benchmark}")
+        _write_yaml(partial / meta.name, {
+            "stage": "classifier",
+            **key,
+            "classifier_sha256": _sha256(partial / path.name),
+            "holdout_accuracy": clf.holdout_accuracy,
+            "config_sha256": spec.config_hash(),
+        })
     return clf
 
 
@@ -321,8 +321,28 @@ def _dist_version(name: str) -> str | None:
         return None
 
 
+@contextlib.contextmanager
+def _publish(final: Path):
+    """Yield an empty ``<final>.partial/`` to build ``final`` in, after
+    removing a stale one and a stale ``<final>.old/``. On success the
+    directory replaces ``final`` whole; on any exception it is removed."""
+    partial, old = (final.with_name(f"{final.name}.{end}") for end in ("partial", "old"))
+    for stale in (partial, old):
+        if stale.exists():
+            shutil.rmtree(stale)
+    partial.mkdir(parents=True)
+    try:
+        yield partial
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    if final.exists():  # POSIX renames a directory only over an empty one
+        final.rename(old)
+    partial.rename(final)
+    shutil.rmtree(old, ignore_errors=True)
+
+
 def _write_yaml(path: Path, data: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         yaml.safe_dump(_plain(data), fh, sort_keys=False)
 
@@ -460,17 +480,11 @@ def run_stage(
     ``unlearn_init: fresh``, start from fresh weights; every other stage
     with a prior starts from it. ``lam`` overrides the energy
     scale (the sweep's grid); invert uses ``invert_lam`` when it is set.
-
-    The config (with the coupling its mode trains with, and for OT the
-    solver's import), prior, classifier, target and source are resolved
-    before the stage directory is touched;
-    the one classifier is both the classifier energy and the stage's judge.
-    ``ckpt.bin`` marks a finished stage, so a stale one is removed before
-    training and the new one is written last, atomically.
+    The one classifier is both the classifier energy and the stage's judge.
+    The stage's six files are published together (``_publish``).
     """
     stage = STAGES[pipeline]
-    if flow.train_coupling(stage.mode, spec.train.coupling) == "ot":
-        flow.ot_solver()
+    flow.train_coupling(stage.mode, spec.train.coupling)  # a ConfigError before the prior is read
     prior_ckpt = _require_ckpt(spec, stage.prior) if stage.prior else None
     prior = flow.load_model(prior_ckpt) if prior_ckpt else None
     prior_sha256 = _sha256(prior_ckpt) if prior else None
@@ -514,31 +528,9 @@ def run_stage(
     init = None if fresh else prior
     parent = None if stage.mode == "finetune" else prior
 
-    # above, only <out>/classifier/ (a newly trained classifier) and
-    # <out>/source_pool/ (a newly drawn pool) are written; the stage
-    # directory changes from here on
-    ckpt = stage_dir / "ckpt.bin"
-    ckpt.unlink(missing_ok=True)
     start = time.perf_counter()
     model = flow.train(cfg, q0, target, mode=stage.mode, seed=spec.seed, parent=parent, init=init)
     train_time_s = time.perf_counter() - start
-
-    _write_yaml(stage_dir / "config.yaml", spec.to_dict())
-    _write_yaml(stage_dir / "meta.yaml", {
-        "stage": pipeline,
-        "seed": spec.seed,
-        "config_sha256": spec.config_hash(),
-        "blas_threads": blas_threads(),
-        "inference_threads": inference_threads(),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": _dist_version("numpy"),
-        "scipy": _dist_version("scipy"),
-        **provenance,
-    })
-    trace = model.loss_trace
-    loss_rows = ((i, *row) for i, row in enumerate(zip_longest(*trace.values())))
-    ds.write_csv(stage_dir / "loss.csv", ["step", *trace], loss_rows)
 
     def base_states(use: str, seed, n: int) -> np.ndarray:  # the states entering the model's own stage
         if parent is None:
@@ -547,15 +539,30 @@ def run_stage(
 
     x0 = base_states("traj", [spec.seed, _TAG_TRAJ], 512)
     snaps = flow.trajectory(model, x0, model.n_steps, min(5, model.n_steps + 1))
-    write_traj_csv(stage_dir / "traj.csv", snaps)
     bases = [base_states(f"eval{s}", [s, me.EVAL_DRAW_TAG], spec.eval_n) for s in spec.eval_seeds]
     rows = me.evaluate_rows(model, spec.benchmark, clf, spec.eval_n, spec.eval_seeds, method=stage.dir,
                             lam=lam, train_time_s=train_time_s, timing_seed=spec.seed, bases=bases)
-    write_report_csv(stage_dir / "report.csv", rows)
-    partial = stage_dir / "ckpt.bin.partial"
-    flow.save_model(model, partial)
-    os.replace(partial, ckpt)
-    return RunArtifact(stage=stage.dir, stage_dir=stage_dir, ckpt_path=ckpt, rows=rows)
+    trace = model.loss_trace
+    loss_rows = ((i, *row) for i, row in enumerate(zip_longest(*trace.values())))
+    with _publish(stage_dir) as partial:
+        _write_yaml(partial / "config.yaml", spec.to_dict())
+        _write_yaml(partial / "meta.yaml", {
+            "stage": pipeline,
+            "seed": spec.seed,
+            "config_sha256": spec.config_hash(),
+            "blas_threads": blas_threads(),
+            "inference_threads": inference_threads(),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": _dist_version("numpy"),
+            "scipy": _dist_version("scipy"),
+            **provenance,
+        })
+        ds.write_csv(partial / "loss.csv", ["step", *trace], loss_rows)
+        write_traj_csv(partial / "traj.csv", snaps)
+        write_report_csv(partial / "report.csv", rows)
+        flow.save_model(model, partial / "ckpt.bin")
+    return RunArtifact(stage=stage.dir, stage_dir=stage_dir, ckpt_path=stage_dir / "ckpt.bin", rows=rows)
 
 
 def _arm_dir(lam: float) -> str:

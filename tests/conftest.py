@@ -1,6 +1,6 @@
-"""Shared test helpers: finite-difference, MMD and kernel-sum oracles,
-gradient flattening, a recording inference pool, and two energies that only
-tests use.
+"""Shared test helpers: finite-difference, MMD, kernel-sum, forward-pass
+and velocity oracles, gradient flattening, a recording inference pool, and
+two energies that only tests use.
 
 The suite runs numpy's BLAS on one thread, as the ``cflow`` command does.
 Results are bit-identical at any thread count, but two test processes on a
@@ -79,6 +79,25 @@ def mmd2_from_sums(xx: float, yy: float, xy: float, n: int, m: int) -> float:
     """``metrics.mmd2`` of an n-point X and an m-point Y from their three
     kernel sums, in its order of operations (test oracle)."""
     return max(xx / (n * n) + yy / (m * m) - 2.0 * xy / (n * m), 0.0)
+
+
+def serial_forward(model, x):
+    """``Mlp.forward_raw``'s single-thread loop over all rows (test oracle)."""
+    h = np.asarray(x, dtype=np.float64)
+    last = len(model.layers) - 1
+    for i, (w, b) in enumerate(model.layers):
+        h = h @ w
+        h += b
+        if i != last:
+            np.tanh(h, out=h)
+    return h
+
+
+def velocity(model, t, x):
+    """A ``FlowModel``'s own field at time ``t`` (a scalar or one per row) on
+    points ``x`` (n, d), by the inference forward pass (test oracle)."""
+    x = np.asarray(x, dtype=np.float64)
+    return model.field.forward_raw(np.column_stack([x, np.broadcast_to(t, len(x))]))
 
 
 class RecordingExecutor(ThreadPoolExecutor):

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import ConstantEnergy, finite_difference_grads, flatten_grads, mmd2_reference
+from conftest import ConstantEnergy, finite_difference_grads, flatten_grads, mmd2_reference, velocity
 
 from cflow import datasets as ds
 from cflow import energy as en
@@ -339,7 +339,7 @@ class TestCriterion11EulerOrder:
         net.layers[0][1][...] = 0.0
         model = flow.FlowModel(net, n_steps=10)
         x0 = np.array([[1.0, 0.0]])
-        field = lambda t, y: model.velocity(t, y)
+        field = lambda t, y: velocity(model, t, y)
         ref = flow.integrate(field, x0, 10_000)[0, 0]
         steps = [10, 20, 40, 80, 100]
         errors = [abs(flow.integrate(field, x0, n)[0, 0] - ref) for n in steps]

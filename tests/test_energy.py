@@ -77,7 +77,7 @@ class TestRegionEnergies:
 
     def test_circles_outer_ring_strongly_positive(self, circles_data):
         F = en.RegionEnergy("circles", 5.0)
-        vals = F.evaluate(circles_data.forget_points)
+        vals = F.evaluate(circles_data.points[circles_data.labels == ds.FORGET])
         assert np.all(vals > 0.0)
         assert vals.mean() > 1.5
 

@@ -10,7 +10,7 @@ field of the sampler."""
 
 import numpy as np
 import pytest
-from conftest import CallableEnergy, ConstantEnergy
+from conftest import CallableEnergy, ConstantEnergy, velocity
 
 from cflow import datasets as ds
 from cflow import energy as en
@@ -189,8 +189,8 @@ def _chain():
 def test_push_is_the_concatenating_field_bit_for_bit(n):
     model = _chain()
     x = np.random.default_rng(n).normal(size=(n, 2))
-    mid = flow.integrate(model.parent.velocity, x, model.parent.n_steps)
-    expected = flow.integrate(model.velocity, mid, model.n_steps)
+    mid = flow.integrate(lambda t, y: velocity(model.parent, t, y), x, model.parent.n_steps)
+    expected = flow.integrate(lambda t, y: velocity(model, t, y), mid, model.n_steps)
     np.testing.assert_array_equal(model.push(x), expected)
     np.testing.assert_array_equal(model.sample(n, seed=3), model.push(ds.GaussianSampler(3).sample(n)))
 
@@ -201,7 +201,7 @@ def test_every_step_state_is_its_own_array():
     snaps = flow.trajectory(model, x0, model.n_steps, model.n_steps + 1)
     states = [x for _, x in snaps]
     expected = [x0]
-    flow.integrate(model.velocity, x0, model.n_steps, on_step=lambda k, x: expected.append(x))
+    flow.integrate(lambda t, y: velocity(model, t, y), x0, model.n_steps, on_step=lambda k, x: expected.append(x))
     assert len(states) == model.n_steps + 1
     for got, want in zip(states, expected):
         np.testing.assert_array_equal(got, want)

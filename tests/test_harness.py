@@ -619,30 +619,60 @@ class TestCli:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
-    def test_failed_stage_leaves_no_checkpoint(self, tmp_path, capsys, monkeypatch):
-        # ckpt.bin marks a finished stage: a rerun that fails after training
-        # must not leave the old checkpoint, or a new one, for invert to take
-        cfg = tmp_path / "exp.yaml"
-        with cfg.open("w") as fh:
-            yaml.safe_dump(harness._plain(tiny_spec(tmp_path).to_dict()), fh)
-        assert cli.main(["train", "--config", str(cfg)]) == 0
-        assert cli.main(["unlearn", "--config", str(cfg)]) == 0
-        ckpt = tmp_path / "run" / "unlearn" / "ckpt.bin"
-        assert ckpt.exists()
+    @pytest.mark.parametrize("name", ["config.yaml", "meta.yaml", "loss.csv", "traj.csv", "report.csv",
+                                      "ckpt.bin"])
+    def test_a_rerun_that_fails_at_any_write_leaves_the_old_stage_untouched(
+            self, unlearned_cli_run, tmp_path, capsys, monkeypatch, name):
+        # a stage directory holds one finished stage or nothing: a rerun that
+        # fails right after any of its six writes leaves the old stage whole
+        run = tmp_path / "run"
+        shutil.copytree(unlearned_cli_run, run)
+        cfg = write_config(tmp_path / "exp.yaml", tiny_config(tmp_path))
+        before = read_tree(run / "unlearn")
 
-        def failing(*args, **kwargs):
-            raise ValueError("evaluation failed")
+        def failing_after(write):
+            def wrapper(*args, **kwargs):
+                write(*args, **kwargs)
+                if any(Path(a).name == name for a in args if isinstance(a, (str, Path))):
+                    raise OSError(f"injected fault after writing {name}")
+            return wrapper
 
-        monkeypatch.setattr(me, "evaluate_model", failing)
+        for module, writer in [(harness, "_write_yaml"), (ds, "write_csv"), (harness, "write_traj_csv"),
+                               (flow, "save_model")]:
+            monkeypatch.setattr(module, writer, failing_after(getattr(module, writer)))
+        capsys.readouterr()
         assert cli.main(["unlearn", "--config", str(cfg)]) == 4
-        assert not ckpt.exists()
+        assert capsys.readouterr().err == f"error: injected fault after writing {name}\n"
+        assert read_tree(run / "unlearn") == before
+        assert sorted(p.name for p in run.iterdir()) == ["classifier", "learn", "source_pool", "unlearn"]
+        monkeypatch.undo()
+        assert cli.main(["invert", "--config", str(cfg)]) == 0
+
+    def test_leftovers_of_an_interrupted_publish_are_no_finished_stage(self, unlearned_cli_run, tmp_path,
+                                                                       capsys):
+        # a crash between the two renames leaves <stage>.old/ and no <stage>/;
+        # a crash before them can leave a <stage>.partial/ with every file
+        run = tmp_path / "run"
+        shutil.copytree(unlearned_cli_run, run)
+        (run / "unlearn").rename(run / "unlearn.old")
+        shutil.copytree(run / "learn", run / "learn.partial")
+        cfg = write_config(tmp_path / "exp.yaml", tiny_config(tmp_path))
+        summary = tmp_path / "summary.csv"
+
+        def reported():
+            assert cli.main(["report", "--runs", str(run), "--out", str(summary)]) == 0
+            return {row["method"]: row["n_runs"] for row in report_rows(summary)}
+
+        assert reported() == {"learn": "1"}
+        capsys.readouterr()
         assert cli.main(["invert", "--config", str(cfg)]) == 3
         assert "prior stage 'unlearn'" in capsys.readouterr().err
-        # the failed stage's stale report.csv is not a finished stage's report
-        assert (tmp_path / "run" / "unlearn" / "report.csv").exists()
-        summary = tmp_path / "summary.csv"
-        assert cli.main(["report", "--runs", str(tmp_path / "run"), "--out", str(summary)]) == 0
-        assert [row["method"] for row in report_rows(summary)] == ["learn"]
+        # each stage clears its own leftovers when it next runs
+        assert cli.main(["unlearn", "--config", str(cfg)]) == 0
+        assert not (run / "unlearn.old").exists() and not (run / "unlearn.partial").exists()
+        assert reported() == {"learn": "1", "unlearn": "1"}
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in run.iterdir()) == ["classifier", "learn", "source_pool", "unlearn"]
 
     def test_sweep_is_reported_once_per_eval_seed(self, tmp_path):
         cfg = write_config(tmp_path / "exp.yaml",

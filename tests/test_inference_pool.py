@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import use_pool
+from conftest import serial_forward, use_pool
 
 from cflow import flow
 from cflow.datasets import GaussianSampler
@@ -18,18 +18,6 @@ from cflow.diffcore import Mlp, nn, velocity_mlp
 
 ROWS = [1, 2, 3, 5, 1023, 1024, 1025, 2047, 2048, 2049, 4097, 7813, 12288, 12289, 16387]
 NETS = {"velocity": [3, 64, 64, 64, 2], "classifier": [2, 64, 64, 64, 1]}
-
-
-def serial_forward(model, x):
-    """The reference: ``forward_raw``'s single-thread loop over all rows."""
-    h = np.asarray(x, dtype=np.float64)
-    last = len(model.layers) - 1
-    for i, (w, b) in enumerate(model.layers):
-        h = h @ w
-        h += b
-        if i != last:
-            np.tanh(h, out=h)
-    return h
 
 
 def net(widths, seed=4):

@@ -190,20 +190,21 @@ class TestClassifierMetrics:
 
     def test_forget_rate_counting(self, circles_classifier):
         # synthetic: 3 clear-forget points among 10
-        outer = ds.generate("circles", 2000, 1).forget_points[:3]
-        inner = ds.generate("circles", 2000, 1).retain_points[:7]
+        data = ds.generate("circles", 2000, 1)
+        outer = data.points[data.labels == ds.FORGET][:3]
+        inner = data.retain_points[:7]
         batch = np.vstack([outer, inner])
         assert me.forget_rate(circles_classifier, batch) == pytest.approx(0.3)
 
     def test_forget_rate_on_real_subsets(self, circles_classifier):
         data = ds.generate("circles", 2000, 12)
         assert me.forget_rate(circles_classifier, data.retain_points) <= 0.02
-        assert me.forget_rate(circles_classifier, data.forget_points) >= 0.98
+        assert me.forget_rate(circles_classifier, data.points[data.labels == ds.FORGET]) >= 0.98
 
     def test_leakage_mean_confidence(self, circles_classifier):
         data = ds.generate("circles", 1000, 13)
         leak_retain = me.leakage(circles_classifier, data.retain_points)
-        leak_forget = me.leakage(circles_classifier, data.forget_points)
+        leak_forget = me.leakage(circles_classifier, data.points[data.labels == ds.FORGET])
         assert leak_retain < 0.05
         assert leak_forget > 0.95
 

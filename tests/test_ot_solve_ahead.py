@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import use_pool
+from conftest import serial_forward, use_pool
 
 from cflow import datasets as ds
 from cflow import energy as en
@@ -53,17 +53,6 @@ def serial_train(cfg, q0, target, seed):
         opt.step()
         trace["loss"].append(loss.item())
     return field.theta, trace
-
-
-def serial_forward(model, x):
-    """``forward_raw``'s single-thread loop over all rows."""
-    h = x
-    for i, (w, b) in enumerate(model.layers):
-        h = h @ w
-        h += b
-        if i != len(model.layers) - 1:
-            np.tanh(h, out=h)
-    return h
 
 
 def pool_source(seed=5):

@@ -7,7 +7,8 @@ pipeline of a tiny spec through ``harness.run`` and pin the sha256 of each
 stage's ``ckpt.bin``, ``loss.csv``, ``traj.csv`` and ``report.csv`` (with
 its two timing columns blanked), plus the output of ``cflow sample`` and
 ``cflow traj`` on the last checkpoint. ``config.yaml`` and ``meta.yaml`` are
-left out: both depend on the output path.
+left out: both depend on the output path. No ``*.partial`` or ``*.old``
+file or directory may remain under the run.
 
 Three variants cover an analytic energy with a data source, a classifier
 energy with a model-source pool (plus ``invert_lam``, ``unlearn_steps`` and a
@@ -103,6 +104,8 @@ def run_variant(tmp_path, overrides: dict) -> dict[str, str]:
         for name, digest in _stage_digests(stage_dir).items():
             digests[f"{rel}/{name}"] = digest
     digests["sweep/report.csv"] = _sha(_report_without_timings(out / "sweep" / "report.csv"))
+    # every stage was published whole: no build or swap directory is left
+    assert [p for p in out.rglob("*") if p.suffix in (".partial", ".old")] == []
 
     ckpt = str(out / "invert" / "ckpt.bin")
     samples, traj = tmp_path / "samples.csv", tmp_path / "traj.csv"
