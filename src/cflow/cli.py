@@ -129,11 +129,7 @@ def _cmd_report(args) -> int:
         raise harness.ConfigError(f"--out {args.out}: the .md table would overwrite the CSV")
     rows = []
     for root in args.runs:
-        # a finished stage has its ckpt.bin beside its report.csv, which skips
-        # sweep/report.csv (it repeats its arms' rows); a stage's .partial/
-        # (being built) and .old/ (being replaced) are not finished stages
-        found = sorted(p for p in Path(root).rglob("report.csv")
-                       if (p.parent / "ckpt.bin").exists() and p.parent.suffix not in (".partial", ".old"))
+        found = harness.finished_reports(root)
         if not found:
             raise harness.HarnessError(f"no finished stage's report.csv under {root}")
         for path in found:

@@ -73,6 +73,7 @@ __all__ = [
     "load_spec",
     "run",
     "run_stage",
+    "finished_reports",
     "report",
     "write_report_csv",
     "write_traj_csv",
@@ -321,12 +322,15 @@ def _dist_version(name: str) -> str | None:
         return None
 
 
+_LEFTOVERS = (".partial", ".old")  # a stage being built, a stage being replaced
+
+
 @contextlib.contextmanager
 def _publish(final: Path):
     """Yield an empty ``<final>.partial/`` to build ``final`` in, after
     removing a stale one and a stale ``<final>.old/``. On success the
     directory replaces ``final`` whole; on any exception it is removed."""
-    partial, old = (final.with_name(f"{final.name}.{end}") for end in ("partial", "old"))
+    partial, old = (final.with_name(final.name + end) for end in _LEFTOVERS)
     for stale in (partial, old):
         if stale.exists():
             shutil.rmtree(stale)
@@ -588,6 +592,13 @@ def run(spec: ExperimentSpec) -> RunArtifact | list[RunArtifact]:
 
 
 # -- consolidated reporting ----------------------------------------------------
+
+
+def finished_reports(root: str | Path) -> list[Path]:
+    """Every ``report.csv`` under ``root`` with a ``ckpt.bin`` beside it (so not
+    ``sweep/report.csv``, a repeat of its arms) outside ``_publish`` leftovers."""
+    return sorted(p for p in Path(root).rglob("report.csv")
+                  if (p.parent / "ckpt.bin").exists() and p.parent.suffix not in _LEFTOVERS)
 
 
 def report(rows: list[me.MetricsReport]) -> list[dict]:
