@@ -302,6 +302,8 @@ def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
             return _read_points(csv.reader(fh), path)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # such as a quote left open past the field size limit
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_points(reader, path) -> tuple[np.ndarray, np.ndarray | None]:

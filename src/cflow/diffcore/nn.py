@@ -69,9 +69,15 @@ multiple of 4 rows. Past the rule a sampler keeps the batch as one range
 on the calling thread, and from two blocks up its step loop runs the
 hidden layers through ``_hidden`` at every step.
 
+The kernel-product rule is ``metrics._kernel_sum``'s: a range of 2+ rows
+cut at multiples of 4 of ``a @ b.T`` (2-column points, m rows in b) keeps
+its bits where ``m % 8 < 4`` or ``m < 196`` (m = 1..299, 996..1,004, 2,047,
+2,048, 4,092, 4,096 at 5 to 2,049 rows); each other m tried changed bits
+from 64 rows up (m = 204 at 64, 257, 1,000 and 2,049 rows).
+
 ``inference_pool`` is the process's one worker pool. Besides row shares
-and row blocks it runs ``metrics.mmd2``'s kernel-sum runs, each turning
-its rows of the kernel matrix into kernel values, and ``flow.train``'s
+and row blocks it runs ``metrics.mmd2``'s kernel-sum runs, each building
+and summing its leaves of the kernel matrix, and ``flow.train``'s
 minibatch-OT solves ahead of the training step. No job submits another,
 and no job waits on one, so the pool cannot deadlock. ``run_blocks`` is
 the one place that decides whether the pool runs row blocks and

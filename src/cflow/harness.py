@@ -23,7 +23,8 @@ dependency chain: unlearning, refitting and fine-tuning need the pretrained
 model from the ``learn`` stage; energy inversion needs the unlearned model.
 Missing dependencies are reported by naming the stage that must run first.
 A stage directory holds one finished stage or nothing: ``_publish`` builds
-it in ``<stage>.partial/`` and swaps it in whole. The stages share
+it in ``<stage>.partial/`` and swaps it in whole; a sweep builds all its
+arms and its ``report.csv`` in one ``sweep.partial/``. The stages share
 ``<out>/classifier/``, published the same way: ``classifier.bin`` and a
 ``meta.yaml`` with its key (benchmark, seed, ``data_n``, ``ClassifierConfig``
 and numpy version), sha256, held-out accuracy and config hash; it is reused
@@ -384,19 +385,22 @@ def read_report_csv(path: str | Path) -> list[me.MetricsReport]:
     columns = fields(me.MetricsReport)
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise HarnessError(f"{path}: empty report, no header row")
-        if header != me.MetricsReport.header():
-            raise HarnessError(f"incompatible report schema in {path}: {header}")
-        rows = []
-        for raw in reader:
-            if len(raw) != len(columns):
-                raise HarnessError(f"{path}, line {reader.line_num}: {len(raw)} cells, not {len(columns)}")
-            try:
-                rows.append(me.MetricsReport(**{f.name: _report_value(f, v) for f, v in zip(columns, raw)}))
-            except ValueError as exc:  # each message starts with its column's name
-                raise HarnessError(f"{path}, line {reader.line_num}, column {exc}") from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise HarnessError(f"{path}: empty report, no header row")
+            if header != me.MetricsReport.header():
+                raise HarnessError(f"incompatible report schema in {path}: {header}")
+            rows = []
+            for raw in reader:
+                if len(raw) != len(columns):
+                    raise HarnessError(f"{path}, line {reader.line_num}: {len(raw)} cells, not {len(columns)}")
+                try:
+                    rows.append(me.MetricsReport(**{f.name: _report_value(f, v) for f, v in zip(columns, raw)}))
+                except ValueError as exc:  # each message starts with its column's name
+                    raise HarnessError(f"{path}, line {reader.line_num}, column {exc}") from None
+        except csv.Error as exc:  # such as a quote left open past the field size limit
+            raise HarnessError(f"{path}, line {reader.line_num}: {exc}") from None
         return rows
 
 
@@ -577,18 +581,18 @@ def _arm_dir(lam: float) -> str:
 def run(spec: ExperimentSpec) -> RunArtifact | list[RunArtifact]:
     """Execute the spec's pipeline; returns its artifact(s).
 
-    ``sweep-lambda`` runs the unlearn stage once per ``lambda_grid`` value
-    into ``sweep/lam_<lam>`` and writes all their rows to ``sweep/report.csv``.
+    ``sweep-lambda`` runs the unlearn stage once per ``lambda_grid`` value into
+    ``sweep/lam_<lam>``, their rows into ``sweep/report.csv``, as one ``_publish``.
     """
     if spec.pipeline != "sweep-lambda":
         return run_stage(spec, spec.pipeline)
     sweep = Path(spec.out) / "sweep"
-    artifacts = [
-        run_stage(spec, "unlearn-erfm", lam=lam, stage_dir=sweep / _arm_dir(lam))
-        for lam in spec.lambda_grid
-    ]
-    write_report_csv(sweep / "report.csv", [row for art in artifacts for row in art.rows])
-    return artifacts
+    with _publish(sweep) as partial:
+        artifacts = [run_stage(spec, "unlearn-erfm", lam=lam, stage_dir=partial / _arm_dir(lam))
+                     for lam in spec.lambda_grid]
+        write_report_csv(partial / "report.csv", [row for art in artifacts for row in art.rows])
+    return [replace(art, stage_dir=sweep / art.stage_dir.name, ckpt_path=sweep / art.stage_dir.name / "ckpt.bin")
+            for art in artifacts]
 
 
 # -- consolidated reporting ----------------------------------------------------
@@ -597,8 +601,8 @@ def run(spec: ExperimentSpec) -> RunArtifact | list[RunArtifact]:
 def finished_reports(root: str | Path) -> list[Path]:
     """Every ``report.csv`` under ``root`` with a ``ckpt.bin`` beside it (so not
     ``sweep/report.csv``, a repeat of its arms) outside ``_publish`` leftovers."""
-    return sorted(p for p in Path(root).rglob("report.csv")
-                  if (p.parent / "ckpt.bin").exists() and p.parent.suffix not in _LEFTOVERS)
+    return sorted(p for p in Path(root).rglob("report.csv") if (p.parent / "ckpt.bin").exists()
+                  and not any(part.endswith(_LEFTOVERS) for part in p.relative_to(root).parts))
 
 
 def report(rows: list[me.MetricsReport]) -> list[dict]:

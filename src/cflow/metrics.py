@@ -42,11 +42,11 @@ __all__ = [
 
 INFERENCE_TIMING_SAMPLES = 1000
 INFERENCE_TIMING_STEPS = 10
-# largest evaluation batch: mmd2's one n x n array then fits its 128 MiB budget
+# largest evaluation batch: an n x n product, where mmd2 needs one, fits 128 MiB
 MAX_EVAL_N = 4096
-# rows of a kernel-matrix block: 64 rows of 1,000 float64 columns are 500 KiB,
-# so a block stays in L2 through its elementwise passes
-KERNEL_BLOCK_ROWS = 64
+# most kernel values a leaf of a kernel sum builds and reduces at once: 2^16
+# float64 values are 512 KiB, so a leaf stays in L2 through its passes
+KERNEL_LEAF = 2**16
 # largest row count a config or a CLI --n may ask for in one array (data_n,
 # source_pool, train.batch): 16x the largest shipped plan (a 65,536-point
 # source pool), where one 64-wide float64 activation is 512 MiB
@@ -76,39 +76,48 @@ def _as_batch(x: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _kernel_rows(sq: np.ndarray, na: np.ndarray, nb: np.ndarray, denom: float, lo: int, hi: int) -> None:
-    """Turn rows ``lo:hi`` of the products ``sq`` into kernel values in
-    place, one block of ``KERNEL_BLOCK_ROWS`` rows at a time through one
-    scratch block: exp(-max(na + nb - 2 sq, 0) / denom), the same IEEE
-    operations in the same order, element by element, as over the whole
-    matrix at once."""
-    scratch = np.empty((min(KERNEL_BLOCK_ROWS, hi - lo), sq.shape[1]))
-    for r0 in range(lo, hi, KERNEL_BLOCK_ROWS):
-        r1 = min(r0 + KERNEL_BLOCK_ROWS, hi)
-        block = sq[r0:r1]
-        dist = np.add(na[r0:r1, None], nb[None, :], out=scratch[: r1 - r0])
-        block *= 2.0
-        np.subtract(dist, block, out=block)
-        np.maximum(block, 0.0, out=block)
-        np.negative(block, out=block)
-        block /= denom
-        np.exp(block, out=block)
+def _tree_sum(lo: int, hi: int, leaf) -> float:
+    """numpy's pairwise sum of the flat values ``lo:hi`` of a C-contiguous
+    array from the sums ``leaf(lo, hi)`` of its nodes of at most
+    ``KERNEL_LEAF`` values: numpy halves over 128 values at k//2 - k//2 % 8."""
+    if hi - lo <= KERNEL_LEAF:
+        return leaf(lo, hi)
+    mid = lo + (hi - lo) // 16 * 8
+    return _tree_sum(lo, mid, leaf) + _tree_sum(mid, hi, leaf)
 
 
 def _kernel_sum(a: np.ndarray, b: np.ndarray, kernel: KernelConfig) -> float:
-    """Sum of k(a_i, b_j) over every pair, from one n x m array: the one
-    matmul over all rows becomes the kernel matrix in place, its row blocks
-    in the runs ``diffcore.nn.run_blocks`` decides (one per pool thread
-    from two blocks up), and one ``sum`` over the whole array keeps numpy's
-    pairwise order."""
+    """Sum of k(a_i, b_j) over every pair, bit for bit one ``sum`` over the
+    n x m kernel matrix: a leaf of ``_tree_sum`` builds only the rows that
+    cover it (cut at multiples of 4, never one row) and reduces them, one
+    run of leaves per pool thread (``run_blocks``) in the same two arrays."""
     na = (a * a).sum(axis=1)
     nb = (b * b).sum(axis=1)
-    # one product over all rows: OpenBLAS picks its kernel by the size of
-    # the whole product, so a product per block would change bits
-    sq = a @ b.T
-    denom = 2.0 * kernel.bandwidth**2
-    run_blocks(lambda lo, hi: _kernel_rows(sq, na, nb, denom, lo, hi), sq.shape[0], KERNEL_BLOCK_ROWS)
-    return float(sq.sum())
+    n, m = a.shape[0], b.shape[0]
+    whole = a @ b.T if m % 8 >= 4 and m >= 196 else None  # past diffcore.nn's kernel-product rule
+
+    def add_leaf(lo: int, hi: int) -> float:
+        r0, r1 = lo // (4 * m) * 4, min(n, -(-hi // (4 * m)) * 4)
+        leaves.append((lo, hi, max(r0 - 4, 0) if r1 - r0 == 1 else r0, r1))
+        return 0.0
+
+    def run(first: int, stop: int) -> None:
+        cross, dist = np.empty((2, max(r1 - r0 for *_, r0, r1 in leaves[first:stop]), m))
+        for i in range(first, stop):
+            lo, hi, r0, r1 = leaves[i]
+            k = cross[: r1 - r0]  # exp(-max(na + nb - 2 a b^T, 0) / (2 bandwidth^2))
+            np.multiply(np.matmul(a[r0:r1], b.T, out=k) if whole is None else whole[r0:r1], 2.0, out=k)
+            np.subtract(np.add(na[r0:r1, None], nb[None, :], out=dist[: r1 - r0]), k, out=k)
+            np.maximum(k, 0.0, out=k)
+            k /= -2.0 * kernel.bandwidth**2  # the bits of negating, then dividing
+            np.exp(k, out=k)
+            sums[i] = float(np.add.reduce(k.ravel()[lo - r0 * m : hi - r0 * m]))
+
+    leaves = []
+    _tree_sum(0, n * m, add_leaf)
+    sums = [0.0] * len(leaves)
+    run_blocks(run, len(leaves), 1)
+    return _tree_sum(0, n * m, lambda lo, hi, in_order=iter(sums): next(in_order))
 
 
 def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelConfig = KernelConfig()) -> float:
@@ -118,12 +127,11 @@ def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelConfig = KernelConfig()) ->
 
     Symmetric in (X, Y) and non-negative; identical multisets give 0.
 
-    Memory: each kernel sum holds one n x m float64 array, 8 n m bytes, plus
-    one scratch block of ``KERNEL_BLOCK_ROWS`` x m per pool run. The budget
-    is 128 MiB, which ``MAX_EVAL_N`` (4096) keeps for n = m = ``n_eval`` in
-    ``evaluate_model``. The product and the sum stay whole: a product per
-    block would let OpenBLAS pick another kernel, and a sum per block would
-    change numpy's pairwise order, either way the last bits of the estimate.
+    Memory: each pool run of a kernel sum holds two arrays of one leaf, about
+    ``KERNEL_LEAF`` values (1 MiB), at any n. Only past the kernel-product
+    rule of ``diffcore.nn`` (m % 8 in 4..7 and m >= 196) does it also hold
+    the whole n x m product, 8 n m bytes, which ``MAX_EVAL_N`` (4096) keeps
+    within 128 MiB for n = m = ``n_eval`` in ``evaluate_model``.
     """
     a = _as_batch(X, "X")
     b = _as_batch(Y, "Y")

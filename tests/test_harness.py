@@ -648,6 +648,46 @@ class TestCli:
         monkeypatch.undo()
         assert cli.main(["invert", "--config", str(cfg)]) == 0
 
+    def test_a_sweep_rerun_that_fails_at_its_second_arm_leaves_the_old_sweep_untouched(
+            self, learned_cli_run, tmp_path, capsys, monkeypatch):
+        # the arms and sweep/report.csv are published as one unit: a rerun
+        # under another config that fails writing lam_1000 keeps the old
+        # lam_0.5 too, and leaves no sweep.partial/
+        run = tmp_path / "run"
+        shutil.copytree(learned_cli_run, run)
+        good = tiny_config(tmp_path, lambda_grid=[0.5, 1000])
+        assert cli.main(["sweep", "--config", str(write_config(tmp_path / "exp.yaml", good))]) == 0
+        before = read_tree(run / "sweep")
+        assert sorted(before) == [f"{arm}/{name}" for arm in ("lam_0.5", "lam_1000") for name in
+                                  ("ckpt.bin", "config.yaml", "loss.csv", "meta.yaml", "report.csv",
+                                   "traj.csv")] + ["report.csv"]
+        save_model = flow.save_model
+
+        def failing_at_lam_1000(model, path):
+            if "lam_1000" in str(path):
+                raise OSError("injected fault writing lam_1000")
+            save_model(model, path)
+
+        monkeypatch.setattr(flow, "save_model", failing_at_lam_1000)
+        changed = write_config(tmp_path / "changed.yaml", {**good, "unlearn_steps": 20})
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", str(changed)]) == 4
+        assert capsys.readouterr().err == "error: injected fault writing lam_1000\n"
+        assert read_tree(run / "sweep") == before
+        assert sorted(p.name for p in run.iterdir()) == ["classifier", "learn", "source_pool", "sweep"]
+        # a sweep killed mid-build leaves sweep.partial/, whose arms are no finished stages
+        shutil.copytree(run / "sweep", run / "sweep.partial")
+        summary = tmp_path / "summary.csv"
+        assert cli.main(["report", "--runs", str(run), "--out", str(summary)]) == 0
+        assert {(row["method"], row["lam"]): row["n_runs"] for row in report_rows(summary)} == {
+            ("learn", ""): "1", ("unlearn", "0.5"): "1", ("unlearn", "1000.0"): "1"}
+        monkeypatch.undo()
+        assert cli.main(["sweep", "--config", str(changed)]) == 0
+        after = read_tree(run / "sweep")
+        assert sorted(after) == sorted(before)
+        assert after["lam_0.5/ckpt.bin"] != before["lam_0.5/ckpt.bin"]
+        assert sorted(p.name for p in run.iterdir()) == ["classifier", "learn", "source_pool", "sweep"]
+
     def test_leftovers_of_an_interrupted_publish_are_no_finished_stage(self, unlearned_cli_run, tmp_path,
                                                                        capsys):
         # a crash between the two renames leaves <stage>.old/ and no <stage>/;

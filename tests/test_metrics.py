@@ -15,8 +15,10 @@ from cflow import metrics as me
 from cflow.config import ConfigError
 from cflow.diffcore import nn
 
-# around one and two kernel-matrix blocks, one to three runs, and the eval sizes
-SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 999, 1000, 1001, 4096]
+# one to three rows, m on both sides of the kernel-product rule (999 and 204
+# fall back to one whole product), n x n on either side of one leaf (256 x 256
+# is one, 257 x 257 two), and the eval sizes
+SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 204, 256, 257, 999, 1000, 1001, 4096]
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +144,20 @@ def reference_sum(side_a: str, n: int, side_b: str, m: int) -> float:
     return kernel_sum_reference(batch(side_a, n), batch(side_b, m))
 
 
+def leaf_count(size: int) -> int:
+    """Leaves of numpy's pairwise-sum tree over ``size`` values, cut at nodes
+    of at most ``KERNEL_LEAF`` values."""
+    if size <= me.KERNEL_LEAF:
+        return 1
+    half = size // 2 - size // 2 % 8
+    return leaf_count(half) + leaf_count(size - half)
+
+
 class TestKernelSumRuns:
-    """``_kernel_sum`` builds one n x m array and runs its elementwise
-    passes in row blocks, one run per pool thread from two blocks up; it
-    equals the two-array form bit for bit on any pool."""
+    """``_kernel_sum`` builds and reduces the kernel matrix one leaf of
+    numpy's pairwise-sum tree at a time, one run of leaves per pool thread
+    from two leaves up; it equals the two-array form bit for bit on any
+    pool."""
 
     @pytest.fixture(params=[1, 2, 4], ids=["pool-1", "pool-2", "pool-4"])
     def pool(self, request, monkeypatch):
@@ -161,18 +173,43 @@ class TestKernelSumRuns:
         want = mmd2_from_sums(reference_sum("x", n, "x", n), reference_sum("y", m, "y", m),
                               reference_sum("x", n, "y", m), n, m)
         assert me.mmd2(x, y) == want
-        # one run per pool thread, at most one per block, from two blocks up
-        runs = [max(1, min(pool._max_workers, k // me.KERNEL_BLOCK_ROWS)) for k in (n, n, m, n)]
-        assert len(pool.jobs) == sum(r - 1 for r in runs if r > 1)
+        # one run per pool thread, at most one per leaf, from two leaves up
+        runs = [min(pool._max_workers, leaf_count(k)) for k in (n * m, n * n, m * m, n * m)]
+        assert len(pool.jobs) == sum(r - 1 for r in runs)
 
-    def test_below_two_blocks_the_pool_is_never_touched(self, monkeypatch):
+    def test_one_leaf_never_touches_the_pool(self, monkeypatch):
         def fail(*args):
             raise AssertionError("the pool ran")
 
         monkeypatch.setattr(nn, "inference_pool", fail)
-        n = 2 * me.KERNEL_BLOCK_ROWS - 1
+        n = me.KERNEL_LEAF // 4096
         x, y = batch("x", n), batch("y", 4096)
         assert me._kernel_sum(x, y, me.KernelConfig()) == reference_sum("x", n, "y", 4096)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_each_pool_run_holds_one_leaf_at_the_largest_eval_size(self, monkeypatch, threads):
+        executor = use_pool(monkeypatch, threads)
+        n = me.MAX_EVAL_N
+        x, y = batch("x", n), batch("y", n)
+        tracemalloc.start()
+        try:
+            total = me._kernel_sum(x, y, me.KernelConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            executor.shutdown()
+        assert total == reference_sum("x", n, "y", n)
+        # two arrays of one leaf's 2^16 float64 values per run, 1 MiB, where
+        # the whole 4096 x 4096 matrix would be 128 MiB
+        assert peak < (threads + 1) * 2**20
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 129, me.KERNEL_LEAF, me.KERNEL_LEAF + 1, 1_000_003, 2**22])
+    def test_leaf_sums_in_tree_order_are_numpys_sum(self, size):
+        # values over 600 orders of magnitude, so that any other order of
+        # adds would show in the last bits
+        rng = np.random.default_rng(size)
+        flat = rng.random(size) * 10.0 ** rng.integers(-300, 300, size=size)
+        assert me._tree_sum(0, size, lambda lo, hi: float(np.add.reduce(flat[lo:hi]))) == float(flat.sum())
 
 
 class TestClassifierMetrics:
