@@ -399,8 +399,8 @@ def read_report_csv(path: str | Path) -> list[me.MetricsReport]:
                     rows.append(me.MetricsReport(**{f.name: _report_value(f, v) for f, v in zip(columns, raw)}))
                 except ValueError as exc:  # each message starts with its column's name
                     raise HarnessError(f"{path}, line {reader.line_num}, column {exc}") from None
-        except csv.Error as exc:  # such as a quote left open past the field size limit
-            raise HarnessError(f"{path}, line {reader.line_num}: {exc}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:  # say, a field past the limit, or not UTF-8
+            raise HarnessError(f"{path}: {exc}") from None
         return rows
 
 

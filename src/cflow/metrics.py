@@ -44,9 +44,9 @@ INFERENCE_TIMING_SAMPLES = 1000
 INFERENCE_TIMING_STEPS = 10
 # largest evaluation batch: an n x n product, where mmd2 needs one, fits 128 MiB
 MAX_EVAL_N = 4096
-# most kernel values a leaf of a kernel sum builds and reduces at once: 2^16
-# float64 values are 512 KiB, so a leaf stays in L2 through its passes
-KERNEL_LEAF = 2**16
+# most kernel values in one leaf of a kernel sum, 256 KiB of float64: 2^16 kept
+# 0.6 MiB more in a pool thread's heap, over a refit stage's peak RSS
+KERNEL_LEAF = 2**15
 # largest row count a config or a CLI --n may ask for in one array (data_n,
 # source_pool, train.batch): 16x the largest shipped plan (a 65,536-point
 # source pool), where one 64-wide float64 activation is 512 MiB
@@ -128,7 +128,7 @@ def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelConfig = KernelConfig()) ->
     Symmetric in (X, Y) and non-negative; identical multisets give 0.
 
     Memory: each pool run of a kernel sum holds two arrays of one leaf, about
-    ``KERNEL_LEAF`` values (1 MiB), at any n. Only past the kernel-product
+    ``KERNEL_LEAF`` values (512 KiB), at any n. Only past the kernel-product
     rule of ``diffcore.nn`` (m % 8 in 4..7 and m >= 196) does it also hold
     the whole n x m product, 8 n m bytes, which ``MAX_EVAL_N`` (4096) keeps
     within 128 MiB for n = m = ``n_eval`` in ``evaluate_model``.
