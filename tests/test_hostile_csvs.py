@@ -95,7 +95,7 @@ def assert_one_line_or_none(code: int, err: str) -> None:
 @HOSTILE
 @given(damaged=damage(points_bytes))
 def test_cflow_energy_eval_on_a_damaged_points_csv_gives_one_line(tmp_path, capsys, damaged):
-    kind, data = damaged
+    _, data = damaged
     run = stage_dirs(tmp_path)
     before = read_tree(run)
     points = tmp_path / "pts.csv"
