@@ -294,8 +294,8 @@ def load_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read points (and labels when present) from an ``x,y[,label]`` CSV.
 
     A header other than ``x,y`` or ``x,y,label`` (cells stripped, any case),
-    a malformed row or text that is not UTF-8 raises ``ValueError`` naming
-    the file (and line).
+    a malformed row, a coordinate that is not finite or text that is not
+    UTF-8 raises ``ValueError`` naming the file (and line).
     """
     try:
         with Path(path).open(newline="", encoding="utf-8-sig") as fh:
@@ -324,6 +324,8 @@ def _read_points(reader, path) -> tuple[np.ndarray, np.ndarray | None]:
             points.append((float(row[0]), float(row[1])))
         except ValueError:
             raise ValueError(f"{where}: coordinates {row[:2]} are not numbers") from None
+        if not np.isfinite(points[-1]).all():
+            raise ValueError(f"{where}: coordinates {row[:2]} are not finite")
         if has_label:
             label = row[2].strip().lower()
             if label not in names:

@@ -32,8 +32,8 @@ A run of blocks keeps the plain bias: tiling it in each run raised a
 hands its rows to ``run_blocks`` (below) in blocks of ``BLOCK_ROWS`` rows;
 numpy releases the GIL inside matmul and ``tanh``, so the runs of blocks
 go in parallel. The result is bit-identical to one run over all rows,
-because of two rules, measured with numpy 2.4.6 and its bundled OpenBLAS
-0.3.31 on one BLAS thread on an AVX-512 Xeon:
+because of the first two of three rules, measured with numpy 2.4.6 and
+its bundled OpenBLAS 0.3.31 on one BLAS thread on an AVX-512 Xeon:
 
 * A hidden layer gives every row the same bits whichever row range it is
   computed in, as long as the range has more than one row: ranges cut at
@@ -52,6 +52,10 @@ because of two rules, measured with numpy 2.4.6 and its bundled OpenBLAS
   at 977, and cutting 12,288 rows into two halves changed 20,279 of the
   24,576 outputs of a 64->2 layer. So ``forward_raw`` applies it as one
   matmul over all rows.
+* Past the cut-over, a cut keeps the output layer's bits while every
+  piece stays past it: a 64->2 layer at 16,384 rows as 8,192 + 8,192 or
+  7,816 + 8,568, 16,000 as 2 x 8,000, 20,000 as 2 x 10,000, 65,536 as 8 x
+  8,192; but 16,384 rows as 4 x 4,096 changed 26,995 outputs.
 
 A network without a hidden layer is that one matmul alone.
 
@@ -65,9 +69,10 @@ a share's rows are one block, as ``forward_raw`` carries them in the
 calling thread, and no pool job submits another; and where every net's
 output layer over the whole batch is at or below ``SMALL_GEMM_MADDS``.
 Each share has at least ``SHARE_ROWS`` rows and every cut falls on a
-multiple of 4 rows. Past the rule a sampler keeps the batch as one range
-on the calling thread, and from two blocks up its step loop runs the
-hidden layers through ``_hidden`` at every step.
+multiple of 4 rows. Past the rule a sampler carries the batch on the
+calling thread in ``row_pieces``, one after another (the third rule;
+each the fewest whole blocks, at least two, past the cut-over for every
+net), and from two blocks up its step loop runs ``_hidden`` at every step.
 
 The kernel-product rule is ``metrics._kernel_sum``'s: a range of 2+ rows
 cut at multiples of 4 of ``a @ b.T`` (2-column points, m rows in b) keeps
@@ -83,8 +88,8 @@ and no job waits on one, so the pool cannot deadlock. ``run_blocks`` is
 the one place that decides whether the pool runs row blocks and
 kernel-sum runs: below two pieces of its unit it runs all rows on the
 calling thread and never looks the pool up; from two up it makes one run
-of whole pieces per pool thread. ``row_shares`` decides for a sampler's
-shares (above). Both cut rows by ``_cuts``, the one row-edge formula, and
+of whole pieces per pool thread. ``row_shares`` and ``row_pieces`` decide
+for a sampler (above). All cut rows by ``_cuts``, the one row-edge formula, and
 the runs reach the pool only through ``run_shares``: the caller runs the
 first one itself and, once it is done, takes back every one the pool has
 not started, so none waits behind solves already queued.
@@ -111,6 +116,7 @@ __all__ = [
     "inference_threads",
     "inference_pool",
     "row_shares",
+    "row_pieces",
     "run_blocks",
     "run_shares",
 ]
@@ -226,17 +232,22 @@ def _hidden(layers, x: np.ndarray) -> np.ndarray:
 
 def row_shares(nets, n: int) -> list[int]:
     """Row edges that cut a batch of ``n`` rows into one share per pool
-    thread for ``run_shares``, or ``[0, n]`` where that could move the bits
-    of any network in ``nets``: from ``2 * BLOCK_ROWS`` rows, or where a
-    net's output layer over all ``n`` rows is past ``SMALL_GEMM_MADDS``.
-    Each share has at least ``SHARE_ROWS`` rows and starts at a multiple
-    of 4 rows; the last one also takes the remainder."""
+    thread for ``run_shares`` where the bits of ``nets`` cannot move
+    (module docstring), else ``[0, n]``; the last share takes the remainder."""
     parts = n // SHARE_ROWS
-    if parts < 2 or n >= 2 * BLOCK_ROWS:
-        return [0, n]
-    if any(n * net.layers[-1][0].size > SMALL_GEMM_MADDS for net in nets):
+    fits = all(n * net.layers[-1][0].size <= SMALL_GEMM_MADDS for net in nets)
+    if parts < 2 or n >= 2 * BLOCK_ROWS or not fits:
         return [0, n]
     return _cuts(n, min(parts, inference_pool().threads), 4)
+
+
+def row_pieces(nets, n: int) -> list[int]:
+    """Row edges that cut a batch of ``n`` rows into the pieces a sampler
+    carries one after another past the output-layer rule of ``nets``
+    (module docstring), else ``[0, n]``; the last piece takes the remainder."""
+    blocks = SMALL_GEMM_MADDS // (BLOCK_ROWS * min(net.layers[-1][0].size for net in nets)) + 1
+    piece = BLOCK_ROWS * max(blocks, 2)
+    return _cuts(n, max(n // piece, 1), piece)
 
 
 def run_blocks(fn, n: int, unit: int) -> None:

@@ -96,18 +96,17 @@ loop. From 2,048 rows ``diffcore.nn._hidden`` runs them at every step
 and hands its row blocks to the pool; the biases stay vectors, and each
 step's hidden array is freed before the next one is made.
 
-Euler moves every point on its own, so where ``diffcore.nn.row_shares``
-allows (below 2,048 rows, with every output layer over the whole batch
-within OpenBLAS's small-matrix kernel; see ``diffcore.nn``) a batch is
-cut once per call into one row share per pool thread, each share runs
-the loop, and the results are joined in row order: one pool hand-off per
-call, not one per step. Otherwise the batch is one range, on the calling
-thread. ``diffcore.nn.run_shares`` hands out the shares and ``_hidden``'s
+Euler moves every point on its own, so a batch is cut once per call by
+``diffcore.nn``'s row-cut rules and the loop's results are joined in row
+order: into one row share per pool thread where ``row_shares`` allows
+(one pool hand-off per call, not one per step), else into the pieces of
+``row_pieces`` (8,192 rows for a 64->2 head), which the calling thread
+carries one after another, so a draw of any size holds one piece's
+activations. ``diffcore.nn.run_shares`` hands out the shares and ``_hidden``'s
 block runs alike, so none waits behind queued OT solves. Through the
-25+100-step chain of 64x64x64 fields, one 128-row share alone took 16.3
-ms and two together (one per thread) 23.1 ms, where per-step field calls
-took 18.6 and 29.6 ms (medians of 6 alternating rounds in one process,
-2-vCPU Xeon VM, one BLAS thread). ``trajectory`` copies the state at its
+25+100-step chain of 64x64x64 fields, two 128-row shares (one per thread)
+took 23.1 ms against 29.6 ms in per-step field calls (2-vCPU Xeon VM, one
+BLAS thread). ``trajectory`` copies the state at its
 marks only. The loop calls no name a tracer wraps. ``integrate`` stays
 the public reference integrator; nothing in the package calls it.
 A model trained on top of another model's outputs keeps that parent in its
@@ -144,8 +143,8 @@ from .diffcore.checkpoint import (
     read_text,
     read_u32,
 )
-from .diffcore.nn import (BLOCK_ROWS, _cancel_and_wait, _hidden, _layer_plan, _run_hidden, row_shares,
-                          run_shares)
+from .diffcore.nn import (BLOCK_ROWS, _cancel_and_wait, _hidden, _layer_plan, _run_hidden, row_pieces,
+                          row_shares, run_shares)
 from .energy import EnergySpec
 from .metrics import MAX_ROWS
 
@@ -659,30 +658,32 @@ def integrate(field_fn, x0: np.ndarray, n_steps: int, on_step=None) -> np.ndarra
     return x
 
 
-def _check_points(field: Mlp, x) -> None:
-    """A ShapeError unless ``x`` holds (n, d) points of the velocity
-    ``field``, which takes (x, t) rows."""
+def _checked_field(field: Mlp, n_steps: int, x) -> Mlp:
+    """``field``, once ``x`` holds (n, d) points of that velocity field,
+    which takes (x, t) rows (else a ShapeError), and ``n_steps`` >= 1."""
     d = field.out_dim
     if np.ndim(x) != 2 or np.shape(x)[1] != d:
         raise ShapeError(f"expected points (n, {d}), got {np.shape(x)}")
     if field.in_dim != d + 1:
         raise ShapeError(f"a field of {d}-vectors takes rows of {d + 1} columns, not {field.in_dim}")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    return field
 
 
 def _in_shares(stages: list[tuple[Mlp, int]], x: np.ndarray, keep) -> list[np.ndarray]:
     """The states ``_share_steps`` keeps of the points ``x`` carried through
-    ``stages``: in one range on the calling thread, or in the row shares
-    that ``row_shares`` cuts, joined in row order."""
+    ``stages`` in the row shares of ``row_shares``, else the pieces of
+    ``row_pieces`` (one range below two), joined in row order."""
     x = np.asarray(x, dtype=np.float64)
-    for field, n_steps in stages:
-        _check_points(field, x)
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-    edges = row_shares([field for field, _ in stages], len(x))
-    if len(edges) == 2:
-        return _share_steps(stages, x, keep)
-    shares = run_shares(lambda lo, hi: _share_steps(stages, x[lo:hi], keep), edges)
-    return [np.concatenate(states) for states in zip(*shares)]
+    nets = [_checked_field(field, n_steps, x) for field, n_steps in stages]
+    edges = row_shares(nets, len(x))
+    if len(edges) > 2:
+        parts = run_shares(lambda lo, hi: _share_steps(stages, x[lo:hi], keep), edges)
+    else:
+        edges = row_pieces(nets, len(x))
+        parts = [_share_steps(stages, x[lo:hi], keep) for lo, hi in zip(edges, edges[1:])]
+    return [np.concatenate(states) for states in zip(*parts)]
 
 
 def _share_steps(stages: list[tuple[Mlp, int]], x0: np.ndarray, keep) -> list[np.ndarray]:

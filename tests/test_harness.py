@@ -957,11 +957,14 @@ class TestCli:
             ("x,y,label\n0.5,0.5,retain\n0.25\n", "line 3: expected 3 fields, got 1"),
             ("x,y,label\n0.5,0.5,keep\n", "line 2: unknown label 'keep'"),
             ("x,y\n0.5,zero\n", "line 2: coordinates"),
+            ("x,y\n0.5,0.5\nnan,1\ninf,2\n", "line 3: coordinates ['nan', '1'] are not finite"),
+            ("x,y\n0.5,-inf\n", "line 2: coordinates ['0.5', '-inf'] are not finite"),
             ("0.1,0.2\n0.3,0.4\n0.5,0.6\n", "line 1: expected an x,y[,label] header, got '0.1,0.2'"),
             ("y,x\n0.5,0.25\n", "line 1: expected an x,y[,label] header, got 'y,x'"),
             ("x,y,z\n0.5,0.25,1.0\n", "line 1: expected an x,y[,label] header, got 'x,y,z'"),
         ],
-        ids=["short-row", "unknown-label", "bad-number", "headerless", "swapped-header", "third-column"],
+        ids=["short-row", "unknown-label", "bad-number", "nan", "inf", "headerless", "swapped-header",
+             "third-column"],
     )
     def test_malformed_points_csv_exit_code(self, tmp_path, capsys, rows, message):
         pts_csv = tmp_path / "pts.csv"

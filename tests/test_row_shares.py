@@ -8,6 +8,7 @@ takes shares or hands a large batch's block runs, or an MMD's kernel-sum
 runs, to the pool."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from cflow import flow, metrics
 from cflow.datasets import GaussianSampler
 from cflow.diffcore import Mlp, nn
 
-ROWS = [1, 2, 127, 255, 256, 257, 511, 1000, 2047, 2048, 12288]
+# 15,624 rows are one range: its halves would fall under the small-matrix
+# cut-over of a 64->2 head; 16,384 and 20,000 rows are two pieces of it
+ROWS = [1, 2, 127, 255, 256, 257, 511, 1000, 2047, 2048, 12288, 15624, 16384, 20000]
 # "64-32-8": widths that change from layer to layer, through reused buffers;
 # "linear": fields with no hidden layer
 HIDDEN = {"64x3": (64, 64, 64), "8": (8,), "512": (512,), "64-32-8": (64, 32, 8), "linear": ()}
@@ -127,6 +130,57 @@ def test_a_wide_output_layer_takes_no_shares(monkeypatch):
     np.testing.assert_array_equal(model.sample(1000, seed=5), serial_push(model, GaussianSampler(5).sample(1000)))
     assert executor.jobs == []
     executor.shutdown()
+
+
+@pytest.mark.parametrize("n", [12288, 15624, 16384, 20000, 65536])
+def test_a_large_draw_runs_in_pieces_past_the_output_layer_rule(monkeypatch, n):
+    executor = use_pool(monkeypatch, 2)
+    seen = []
+    share_steps = flow._share_steps
+
+    def spy(stages, x0, keep):
+        assert threading.current_thread() is threading.main_thread()
+        seen.append(len(x0))
+        return share_steps(stages, x0, keep)
+
+    monkeypatch.setattr(flow, "_share_steps", spy)
+    model = chain(HIDDEN["64x3"])
+    model.sample(n, seed=8)
+    executor.shutdown()
+    edges = np.cumsum([0, *seen])
+    assert edges[-1] == n
+    assert all(lo % nn.BLOCK_ROWS == 0 for lo in edges[:-1])
+    # every piece is past the cut-over, so its output layer has the whole batch's bits
+    assert all(rows * model.field.layers[-1][0].size > nn.SMALL_GEMM_MADDS for rows in seen)
+    # 8,192 rows, the fewest whole blocks past the cut-over; the last piece takes the rest
+    assert seen == ([n] if n < 2 * 8192 else [8192] * (n // 8192 - 1) + [n - 8192 * (n // 8192 - 1)])
+    assert nn.row_pieces([s.field for s in model.chain], n) == [0, *edges[1:-1], n]
+
+
+@pytest.mark.parametrize("cuts, same", [([8192], True), ([7816], True), ([4096, 8192, 12288], False)],
+                         ids=["two-pieces", "uneven-pieces", "pieces-under-the-cut-over"])
+def test_a_row_cut_of_an_output_layer_keeps_its_bits_only_past_the_cut_over(cuts, same):
+    rng = np.random.default_rng(9)
+    h = np.tanh(rng.normal(size=(16384, 64)))
+    w = rng.normal(size=(64, 2))
+    edges = [0, *cuts, len(h)]
+    pieces = np.concatenate([h[lo:hi] @ w for lo, hi in zip(edges, edges[1:])])
+    assert np.array_equal(pieces, h @ w) == same
+
+
+def test_a_large_draw_holds_one_piece_of_activations(monkeypatch):
+    executor = use_pool(monkeypatch, 2)
+    model = flow.FlowModel(net([3, 64, 64, 64, 2], seed=3), n_steps=2)
+    sampler = flow.ModelSampler(model, seed=10)
+    tracemalloc.start()
+    try:
+        sampler.sample(65536)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        executor.shutdown()
+    # one 65,536 x 64 float64 activation alone is 32 MiB; an 8,192-row piece's is 4 MiB
+    assert peak < 12 * 2**20
 
 
 def test_small_batches_start_no_pool(monkeypatch):
