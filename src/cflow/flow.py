@@ -680,9 +680,10 @@ def _in_shares(stages: list[tuple[Mlp, int]], x: np.ndarray, keep) -> list[np.nd
     edges = row_shares(nets, len(x))
     if len(edges) > 2:
         parts = run_shares(lambda lo, hi: _share_steps(stages, x[lo:hi], keep), edges)
-    else:
-        edges = row_pieces(nets, len(x))
+    elif len(edges := row_pieces(nets, len(x))) > 2:
         parts = [_share_steps(stages, x[lo:hi], keep) for lo, hi in zip(edges, edges[1:])]
+    else:
+        return _share_steps(stages, x, keep)
     return [np.concatenate(states) for states in zip(*parts)]
 
 

@@ -48,9 +48,8 @@ MAX_EVAL_N = 4096
 # 0.6 MiB more in a pool thread's heap, over a refit stage's peak RSS
 KERNEL_LEAF = 2**15
 # largest row count a config or a CLI --n may ask for in one array (data_n,
-# source_pool, train.batch): 16x the largest shipped plan (a 65,536-point
-# pool). A draw of any size holds one 8,192-row piece's activations; a
-# train.batch, or a classifier scoring a pool, holds 512 MiB of 64-wide ones
+# source_pool, train.batch), 16x the largest shipped plan: a train.batch or a
+# classifier scoring that many rows holds 512 MiB of 64-wide activations, a draw 4 MiB
 MAX_ROWS = 2**20
 # seed-stream tags of an evaluation seed's held-out data and generated batch
 EVAL_DATA_TAG = 0x6576616C

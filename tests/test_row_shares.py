@@ -1,7 +1,9 @@
 """Row-share sampling: ``push``, ``sample`` and ``trajectory`` cut a batch
 once into one share per pool thread and carry each share through the whole
-chain. They equal a serial reference bit for bit at every row count, pool
-size and field width; shares are taken only where ``row_shares`` allows; a
+chain; past the output-layer rule a large batch goes through the chain in
+``row_pieces``, one after another. They equal a serial reference bit for
+bit at every row count, pool size and field width; shares are taken only
+where ``row_shares`` allows, and pieces hold one piece's activations; a
 share's error reaches the caller with its type and no share outlives the
 call; and a call finishes even when every pool thread is busy, whether it
 takes shares or hands a large batch's block runs, or an MMD's kernel-sum
