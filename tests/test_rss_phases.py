@@ -33,7 +33,7 @@ def test_a_tiny_refit_run_reports_every_phase_of_its_first_operation():
     assert [row[1] for row in rows] == ["-"] + ["0"] * (len(rows) - 1)
 
 
-@pytest.mark.parametrize("plan", ["no_such_field=1", "data_n=many"])
-def test_a_plan_field_that_is_not_an_integer_field_of_the_plan_is_refused(plan):
+@pytest.mark.parametrize("plan", ["no_such_field=1", "data_n=many", "setup_reps=0"])
+def test_a_plan_field_that_is_not_a_count_field_of_the_plan_is_refused(plan):
     done = run_tool("--workload", "refit", "--seed", "5", "--plan", plan)
     assert done.returncode == 2 and "--plan" in done.stderr

@@ -43,13 +43,6 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-PHASES = (
-    ("classifier", "harness", "ensure_classifier"),
-    ("prior_draws", "harness", "_prior_draws"),
-    ("train", "flow", "train"),
-    ("trajectory", "flow", "trajectory"),
-    ("evaluation", "metrics", "evaluate_rows"),
-)
 
 
 def _workloads():
@@ -113,13 +106,14 @@ class Phases:
 
 
 def _plan_field(text: str) -> tuple[str, int]:
+    """``NAME=VALUE`` as a plan field and its value, a count of at least 1."""
     name, sep, value = text.partition("=")
     try:
-        if sep:
+        if sep and int(value) >= 1:
             return name, int(value)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected NAME=INTEGER, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected NAME=COUNT with a COUNT of at least 1, got {text!r}")
 
 
 def run(wl, workload: str, seed: int, ops: int, overrides: dict, out=sys.stdout) -> None:
@@ -127,17 +121,19 @@ def run(wl, workload: str, seed: int, ops: int, overrides: dict, out=sys.stdout)
     operations with every phase reported (module docstring)."""
     from cflow import flow, harness, metrics
 
-    modules = {"harness": harness, "flow": flow, "metrics": metrics}
+    phase_calls = [("classifier", harness, "ensure_classifier"), ("prior_draws", harness, "_prior_draws"),
+                   ("train", flow, "train"), ("trajectory", flow, "trajectory"),
+                   ("evaluation", metrics, "evaluate_rows")]
     plan = dataclasses.replace(wl.FULL, **overrides)
     phases = Phases(out)
     with tempfile.TemporaryDirectory(prefix="rss-phases-") as work, contextlib.ExitStack() as undo:
         for rep in range(plan.setup_reps):
             setup = wl.set_up(plan, workload, seed, Path(work) / f"setup-{rep}")
         phases.mark("setup")
-        for phase, module, name in PHASES:
-            original = getattr(modules[module], name)
-            setattr(modules[module], name, phases.wrap(phase, original))
-            undo.callback(setattr, modules[module], name, original)
+        for phase, module, name in phase_calls:
+            original = getattr(module, name)
+            setattr(module, name, phases.wrap(phase, original))
+            undo.callback(setattr, module, name, original)
         undo.callback(setattr, harness, "_publish", harness._publish)
         harness._publish = phases.wrap_publish(harness._publish)
         stream = wl.operations(workload, setup, plan, seed)
