@@ -18,31 +18,34 @@ gradient needs once, and returns a ``Tensor`` whose ``backward()`` calls
 buffers the network keeps for its last batch size, so a step allocates no
 activation arrays; ``backward`` takes only the cache of the last ``forward``.
 
-``forward_raw``, the inference pass of every scorer, carries a contiguous
-run of rows through the hidden layers block by block (``_hidden_rows``);
-one matmul over all rows then applies the output layer. The hidden layers
-of a block, and of a sampler's range below two blocks, go through one
-loop, ``_run_hidden``, into arrays the caller owns: a run of blocks writes
-every block through one buffer pair, and a sampler's range sets up its
-plan once (``_layer_plan``) with each bias broadcast to its rows, since
-``np.add(out, bias_rows, out=out)`` is the same IEEE add as ``out += b``
-without numpy's row-at-a-time broadcast (35 -> 19 us per 1,024x64 block).
-A run of blocks keeps the plain bias: tiling it in each run raised a
-``generate`` benchmark run's peak RSS from 105.7 to 111.5 MiB. ``_hidden``
-hands its rows to ``run_blocks`` (below) in blocks of ``BLOCK_ROWS`` rows;
-numpy releases the GIL inside matmul and ``tanh``, so the runs of blocks
-go in parallel. The result is bit-identical to one run over all rows,
-because of the first two of three rules, measured with numpy 2.4.6 and
-its bundled OpenBLAS 0.3.31 on one BLAS thread on an AVX-512 Xeon:
+``forward_raw``, the inference pass of every scorer, carries its rows
+through every layer in chunks of ``CHUNK_ROWS`` rows (``_hidden_rows``),
+so it holds no activation of all its rows. It cuts them into runs of
+whole blocks of ``BLOCK_ROWS`` rows, one per pool thread from two blocks
+up (``_block_runs``); numpy releases the GIL inside matmul and ``tanh``,
+so the runs go in parallel. Each run goes chunk by chunk through one plan
+set up for it once on the calling thread (``_pass``, ``_layer_plan``): a
+buffer pair its layers take turns in, and each bias broadcast to the
+chunk's rows, since ``np.add(out, bias_rows, out=out)`` is the same IEEE
+add as ``out += b`` without numpy's row-at-a-time broadcast (35 -> 19 us
+per 1,024x64 block). Every chunk of a run but the last has ``CHUNK_ROWS``
+rows, and the last also takes the remainder. The output layer goes
+through the chunks too where its bits allow (``_head_in_chunks``, the
+second and fourth rules below); elsewhere the chunks write the last
+hidden activation and one matmul over the range applies the output
+layer, one piece of ``row_pieces`` after another (the third rule). The
+hidden layers of a chunk, and of a sampler's share, go through one loop,
+``_run_hidden``. The result is bit-identical to one run over all rows,
+because of four rules, measured with numpy 2.4.6 and its bundled
+OpenBLAS 0.3.31 on one BLAS thread on an AVX-512 Xeon:
 
 * A hidden layer gives every row the same bits whichever row range it is
   computed in, as long as the range has more than one row: ranges cut at
   multiples of 4 (and at 2, 3 or 6) matched the whole batch exactly for
   3->64, 2->64 and 64->64 layers up to 12,289 rows. A one-row range goes
   through gemv instead: cut off from 1,025 rows, that row differed in 19
-  to 24 of its 64 first-layer columns. So every block here holds at least
-  ``BLOCK_ROWS`` rows (a short tail joins the block before it) and starts
-  at a multiple of ``BLOCK_ROWS``.
+  to 24 of its 64 first-layer columns. So every run and chunk here starts
+  at a multiple of 4, and a short tail joins the chunk before it.
 * The output layer keeps its bits under a cut only while the whole
   batch's product stays in OpenBLAS's small-matrix kernel, which takes a
   product of at most ``SMALL_GEMM_MADDS`` (10^6) multiply-adds (rows x
@@ -50,12 +53,21 @@ its bundled OpenBLAS 0.3.31 on one BLAS thread on an AVX-512 Xeon:
   kept its bits under multiple-of-4 cuts at 7,812 rows but not at 7,813
   (12,890 of 15,626 outputs changed), a 512->2 layer at 976 rows but not
   at 977, and cutting 12,288 rows into two halves changed 20,279 of the
-  24,576 outputs of a 64->2 layer. So ``forward_raw`` applies it as one
-  matmul over all rows.
+  24,576 outputs of a 64->2 layer. So past it the output layer is one
+  matmul over the range.
 * Past the cut-over, a cut keeps the output layer's bits while every
   piece stays past it: a 64->2 layer at 16,384 rows as 8,192 + 8,192 or
   7,816 + 8,568, 16,000 as 2 x 8,000, 20,000 as 2 x 10,000, 65,536 as 8 x
   8,192; but 16,384 rows as 4 x 4,096 changed 26,995 outputs.
+* A one-column output layer, such as a classifier's 64->1 logit head,
+  keeps its bits under cuts at multiples of 4 at any size, past the
+  cut-over too: numpy runs it through gemv, which rounds each row alone
+  but the last ``B mod 4`` rows of a B-row range its own way. 65,536 rows
+  cut into pieces of 16,384, 16,000 or 8,192 rows, 40,000 rows cut in two
+  halves, and 16,387 or 65,539 rows cut into 256-row chunks changed no
+  output (fan-in 1 to 512); 31,252 rows cut into two halves of 15,626
+  rows, which is 2 mod 4, changed 1 to 4 outputs. (With two BLAS threads
+  OpenBLAS cuts the rows itself, and multiple-of-4 chunks changed some.)
 
 A network without a hidden layer is that one matmul alone.
 
@@ -64,15 +76,17 @@ of at every step. Forward Euler moves every point on its own, so
 ``flow`` cuts a batch into row shares (``row_shares``) and carries each
 share through every Euler step of every chain stage, one share per pool
 thread; ``run_shares`` hands them to the pool once per call. Shares are
-taken only where the bits cannot move: below ``2 * BLOCK_ROWS`` rows, so
-a share's rows are one block, as ``forward_raw`` carries them in the
-calling thread, and no pool job submits another; and where every net's
-output layer over the whole batch is at or below ``SMALL_GEMM_MADDS``.
-Each share has at least ``SHARE_ROWS`` rows and every cut falls on a
-multiple of 4 rows. Past the rule a sampler carries the batch on the
-calling thread in ``row_pieces``, one after another (the third rule;
-each the fewest whole blocks, at least two, past the cut-over for every
-net), and from two blocks up its step loop runs ``_hidden`` at every step.
+taken only where the bits cannot move: below ``2 * BLOCK_ROWS`` rows,
+where a share's step loop hands nothing to the pool, so no pool job
+submits another; and where every net's output layer over the whole batch
+is at or below ``SMALL_GEMM_MADDS``. Each share has at least
+``SHARE_ROWS`` rows, every cut falls on a multiple of 4 rows, and a share
+goes through its layers whole, with no chunk. Past the rule a sampler
+carries the batch on the calling thread in ``row_pieces``, one after
+another (the third rule; each the fewest whole blocks, at least two, past
+the cut-over for every net). From two blocks up its step loop runs the
+chunk loop of ``forward_raw`` over one run per pool thread, cut evenly at
+multiples of 4, with every run's plan set up once per stage (``_pass``).
 
 The kernel-product rule is ``metrics._kernel_sum``'s: a range of 2+ rows
 cut at multiples of 4 of ``a @ b.T`` (2-column points, m rows in b) keeps
@@ -84,15 +98,16 @@ from 64 rows up (m = 204 at 64, 257, 1,000 and 2,049 rows).
 and row blocks it runs ``metrics.mmd2``'s kernel-sum runs, each building
 and summing its leaves of the kernel matrix, and ``flow.train``'s
 minibatch-OT solves ahead of the training step. No job submits another,
-and no job waits on one, so the pool cannot deadlock. ``run_blocks`` is
-the one place that decides whether the pool runs row blocks and
-kernel-sum runs: below two pieces of its unit it runs all rows on the
-calling thread and never looks the pool up; from two up it makes one run
-of whole pieces per pool thread. ``row_shares`` and ``row_pieces`` decide
-for a sampler (above). All cut rows by ``_cuts``, the one row-edge formula, and
-the runs reach the pool only through ``run_shares``: the caller runs the
-first one itself and, once it is done, takes back every one the pool has
-not started, so none waits behind solves already queued.
+and no job waits on one, so the pool cannot deadlock. ``_block_runs`` is
+the one place that decides whether the pool runs ``forward_raw``'s runs
+and kernel-sum runs (``run_blocks``): below two pieces of its unit it
+keeps all rows on the calling thread and never looks the pool up; from
+two up it makes one run of whole pieces per pool thread. ``row_shares``
+and ``row_pieces`` decide for a sampler (above). All cut rows by
+``_cuts``, the one row-edge formula, and the runs reach the pool only
+through ``run_shares``: one run stays on the calling thread; of more, the
+caller runs the first one itself and, once it is done, takes back every
+one the pool has not started, so none waits behind solves already queued.
 """
 
 from __future__ import annotations
@@ -122,9 +137,11 @@ __all__ = [
 ]
 
 DEFAULT_HIDDEN = (64, 64, 64)
-# rows per block of the threaded inference pass: a 64-wide float64 block is
-# 512 KiB, so a block's activations stay in cache from layer to layer
+# rows per block of the threaded inference pass: its runs are whole blocks
 BLOCK_ROWS = 1024
+# rows per chunk that a run carries through every layer: a 64-wide float64
+# chunk is 128 KiB, so a chunk's activations stay in cache from layer to layer
+CHUNK_ROWS = 256
 # the inference pool never starts more threads than this, however many CPUs
 MAX_INFERENCE_THREADS = 4
 # fewest rows of a share of a batch that a sampler carries through its chain
@@ -181,19 +198,14 @@ def _cuts(n: int, parts: int, unit: int) -> list[int]:
     return [unit * (units * k // parts) for k in range(parts)] + [n]
 
 
-def _buffers(layers, rows: int) -> list[np.ndarray]:
-    """The (rows, fan_out) arrays the outputs of ``layers`` over ``rows``
-    rows go to: views that take turns in two flat buffers, so a layer never
-    writes the rows it reads."""
-    size = rows * max((w.shape[1] for w, _ in layers), default=0)
-    bufs = np.empty(size), np.empty(size)
-    return [bufs[i % 2][: rows * w.shape[1]].reshape(rows, w.shape[1]) for i, (w, _) in enumerate(layers)]
-
-
 def _layer_plan(layers, rows: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``layers`` set up once for ``rows`` rows: per layer its weights, its
-    bias broadcast to the rows and its output array (``_buffers``)."""
-    return [(w, np.repeat(b[None], rows, axis=0), out) for (w, b), out in zip(layers, _buffers(layers, rows))]
+    bias broadcast to the rows and its output array, views that take turns
+    in two flat buffers, so a layer never writes the rows it reads."""
+    size = rows * max(w.shape[1] for w, _ in layers)
+    bufs = np.empty(size), np.empty(size)
+    return [(w, np.repeat(b[None], rows, axis=0), bufs[i % 2][: rows * w.shape[1]].reshape(rows, w.shape[1]))
+            for i, (w, b) in enumerate(layers)]
 
 
 def _run_hidden(h: np.ndarray, plan) -> np.ndarray:
@@ -210,24 +222,62 @@ def _run_hidden(h: np.ndarray, plan) -> np.ndarray:
     return h
 
 
-def _hidden_rows(layers, x: np.ndarray, hidden: np.ndarray, lo: int, hi: int) -> None:
-    """Write the last hidden activation of rows ``lo:hi`` of ``x`` into the
-    same rows of ``hidden``, one block at a time through one buffer pair."""
-    edges = [lo + BLOCK_ROWS * k for k in range(max((hi - lo) // BLOCK_ROWS, 1))] + [hi]
-    # the last block is the largest
-    inner = _buffers(layers[:-1], hi - edges[-2])
+def _chunk_edges(rows: int) -> list[int]:
+    """Row edges of the chunks of a run of ``rows`` rows: ``CHUNK_ROWS``
+    each, the last one also taking the remainder."""
+    return _cuts(rows, max(rows // CHUNK_ROWS, 1), CHUNK_ROWS)
+
+
+class _Plan(NamedTuple):
+    layers: list  # ``_layer_plan`` of the run's largest chunk
+    head: bool  # whether the last layer is the linear output layer
+
+
+def _hidden_rows(plan: _Plan, x: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    """Write the rows ``lo:hi`` of ``x``, carried through ``plan`` one chunk
+    at a time, into the same rows of ``out``: tanh after every layer but an
+    output layer. Each chunk's last layer writes ``out`` directly."""
+    edges = _chunk_edges(hi - lo)
+    # every chunk but the last has CHUNK_ROWS rows
+    body = [(w, bias[:CHUNK_ROWS], buf[:CHUNK_ROWS]) for w, bias, buf in plan.layers]
     for start, stop in zip(edges[:-1], edges[1:]):
-        n = stop - start
-        outs = [buf[:n] for buf in inner] + [hidden[start:stop]]
-        _run_hidden(x[start:stop], [(w, b, out) for (w, b), out in zip(layers, outs)])
+        rows = slice(lo + start, lo + stop)
+        *hidden, (w, bias, _) = body if stop < edges[-1] else plan.layers
+        dest = out[rows]
+        np.matmul(_run_hidden(x[rows], hidden), w, out=dest)
+        np.add(dest, bias, out=dest)
+        if not plan.head:
+            np.tanh(dest, out=dest)
 
 
-def _hidden(layers, x: np.ndarray) -> np.ndarray:
-    """The last hidden activation of every row of ``x``, in runs of whole
-    blocks (``run_blocks``)."""
-    hidden = np.empty((x.shape[0], layers[-1][0].shape[1]))
-    run_blocks(lambda lo, hi: _hidden_rows(layers, x, hidden, lo, hi), x.shape[0], BLOCK_ROWS)
-    return hidden
+def _head_in_chunks(w: np.ndarray, n: int) -> bool:
+    """Whether an output layer of weights ``w`` keeps its bits over ``n``
+    rows cut into chunks (the second and fourth rules of the module docstring)."""
+    return w.shape[1] == 1 or n * w.size <= SMALL_GEMM_MADDS
+
+
+def _pass(layers, x: np.ndarray, runs: list[int], out: np.ndarray):
+    """A function that writes ``layers`` applied to the rows of ``x`` into
+    ``out``, one run between ``runs`` per ``run_shares`` share, chunk by
+    chunk (``_hidden_rows``); the output layer goes through the chunks
+    where ``_head_in_chunks``, else it is one matmul over all rows. Each
+    run's plan is made here, once, for its largest chunk; ``x`` is read at
+    each call."""
+    *hidden, (w, b) = layers
+    head = _head_in_chunks(w, len(x))
+    chunk_out = out if head else np.empty((len(x), w.shape[0]))
+    plans = {}
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        edges = _chunk_edges(hi - lo)
+        plans[lo] = _Plan(_layer_plan(layers if head else hidden, edges[-1] - edges[-2]), head)
+
+    def run() -> None:
+        run_shares(lambda lo, hi: _hidden_rows(plans[lo], x, chunk_out, lo, hi), runs)
+        if not head:
+            np.matmul(chunk_out, w, out=out)
+            np.add(out, b, out=out)
+
+    return run
 
 
 def row_shares(nets, n: int) -> list[int]:
@@ -250,25 +300,30 @@ def row_pieces(nets, n: int) -> list[int]:
     return _cuts(n, max(n // piece, 1), piece)
 
 
-def run_blocks(fn, n: int, unit: int) -> None:
-    """``fn(lo, hi)`` over ``n`` rows: ``fn(0, n)`` on the calling thread
+def _block_runs(n: int, unit: int) -> list[int]:
+    """Row edges of the runs ``run_blocks`` makes of ``n`` rows: ``[0, n]``
     below two pieces of ``unit`` rows, without looking the pool up, else one
     run of whole pieces per pool thread (at most one per piece)."""
     units = n // unit
-    if units < 2:
-        fn(0, n)
-    else:
-        run_shares(fn, _cuts(n, min(inference_pool().threads, units), unit))
+    return [0, n] if units < 2 else _cuts(n, min(inference_pool().threads, units), unit)
+
+
+def run_blocks(fn, n: int, unit: int) -> None:
+    """``fn(lo, hi)`` over the runs of ``_block_runs(n, unit)``."""
+    run_shares(fn, _block_runs(n, unit))
 
 
 def run_shares(fn, edges: list[int]) -> list:
     """``fn(lo, hi)`` for every share between ``edges``, in row order.
 
-    The pool starts every share but the first, which the caller runs; then
-    the caller takes back each share the pool has not started and runs it
-    itself. No share is still running when this returns or raises, and a
+    One share runs on the calling thread without looking the pool up. Of
+    more, the pool starts every share but the first, which the caller runs;
+    then the caller takes back each share the pool has not started and runs
+    it itself. No share is still running when this returns or raises, and a
     share's error reaches the caller with its type.
     """
+    if len(edges) == 2:
+        return [fn(*edges)]
     executor = inference_pool().executor
     jobs = [(lo, hi, executor.submit(fn, lo, hi)) for lo, hi in zip(edges[1:-1], edges[2:])]
     try:
@@ -444,16 +499,23 @@ class Mlp:
     def forward_raw(self, x: np.ndarray) -> np.ndarray:
         """Inference forward pass: same op order as ``forward``, no cache.
 
-        The hidden layers run through ``_hidden``, on the inference pool
-        from ``2 * BLOCK_ROWS`` rows up (see the module docstring); the
-        input is never written.
+        The rows go through every layer in chunks (``_pass``), in runs of
+        whole blocks (``_block_runs``) that go to the inference pool from
+        ``2 * BLOCK_ROWS`` rows up; past the output-layer rule, one piece of
+        ``row_pieces`` after another (see the module docstring). The input
+        is never written.
         """
         h = self._checked_input(x)
         *hidden, (w, b) = self.layers
-        if hidden:
-            h = _hidden(hidden, h)
-        out = h @ w
-        out += b
+        if not hidden:
+            out = h @ w
+            out += b
+            return out
+        n = h.shape[0]
+        out = np.empty((n, w.shape[1]))
+        edges = [0, n] if _head_in_chunks(w, n) else row_pieces([self], n)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            _pass(self.layers, h[lo:hi], _block_runs(hi - lo, BLOCK_ROWS), out[lo:hi])()
         return out
 
     def copy(self) -> "Mlp":

@@ -88,13 +88,15 @@ or ``trajectory``. It carries a range of rows through every Euler step
 of every chain stage, with the state in the first d columns of the
 field's input rows, stepped in place by ``np.multiply(v, dt, out=v)``
 then ``np.add(x, v, out=x)``: the same IEEE products and sums as
-``integrate``'s ``x + dt * v``. The output layer is one matmul over the
-range. Below ``2 * BLOCK_ROWS`` (2,048) rows the hidden layers run
-through a plan set up once per stage (``diffcore.nn._layer_plan``), so a
-step makes no array and calls no Python function but the hidden-layer
-loop. From 2,048 rows ``diffcore.nn._hidden`` runs them at every step
-and hands its row blocks to the pool; the biases stay vectors, and each
-step's hidden array is freed before the next one is made.
+``integrate``'s ``x + dt * v``. Below ``2 * BLOCK_ROWS`` (2,048) rows the
+layers run over the whole range through a plan set up once per stage
+(``diffcore.nn._layer_plan``, ``_share_wide``), so a step makes no array
+and calls no Python function but the hidden-layer loop. From 2,048 rows
+the step runs ``forward_raw``'s chunk loop (``diffcore.nn._pass``) over
+one run per pool thread, cut evenly at multiples of 4, with every run's
+plan set up once per stage; the output layer goes through the chunks
+where ``diffcore.nn``'s rules allow, else one matmul over the range
+applies it to a hidden array made once per stage.
 
 Euler moves every point on its own, so a batch is cut once per call by
 ``diffcore.nn``'s row-cut rules and the loop's results are joined in row
@@ -102,8 +104,8 @@ order: into one row share per pool thread where ``row_shares`` allows
 (one pool hand-off per call, not one per step), else into the pieces of
 ``row_pieces`` (8,192 rows for a 64->2 head), which the calling thread
 carries one after another, so a draw of any size holds one piece's
-activations. ``diffcore.nn.run_shares`` hands out the shares and ``_hidden``'s
-block runs alike, so none waits behind queued OT solves. Through the
+activations. ``diffcore.nn.run_shares`` hands out the shares and the
+chunk loop's runs alike, so none waits behind queued OT solves. Through the
 25+100-step chain of 64x64x64 fields, two 128-row shares (one per thread)
 took 23.1 ms against 29.6 ms in per-step field calls (2-vCPU Xeon VM, one
 BLAS thread). ``trajectory`` copies the state at its
@@ -143,7 +145,7 @@ from .diffcore.checkpoint import (
     read_text,
     read_u32,
 )
-from .diffcore.nn import (BLOCK_ROWS, _cancel_and_wait, _hidden, _layer_plan, _run_hidden, row_pieces,
+from .diffcore.nn import (BLOCK_ROWS, _cancel_and_wait, _cuts, _layer_plan, _pass, _run_hidden, row_pieces,
                           row_shares, run_shares)
 from .energy import EnergySpec
 from .metrics import MAX_ROWS
@@ -546,7 +548,11 @@ def train(
     draw; ``seed`` seeds that draw and the step stream.
 
     An unlearn-erfm stage with an ``EmpiricalSampler`` source scores the
-    pool once (see the module docstring). The looked-up weights equal those
+    pool once (see the module docstring). A classifier energy scores it
+    through ``Mlp.forward_raw`` in chunks of a few hundred rows, bit for
+    bit, so a pool of any size holds no activation of all its rows: a
+    65,536-point pool's weights traced 3 MiB, against 34 MiB in one pass
+    over all rows. The looked-up weights equal those
     of scoring each batch, bit for bit, when the energy scores a row
     independently of the rows around it, as the analytic energies do. A
     classifier energy runs matmuls, and numpy's bundled OpenBLAS on x86-64
@@ -687,6 +693,18 @@ def _in_shares(stages: list[tuple[Mlp, int]], x: np.ndarray, keep) -> list[np.nd
     return [np.concatenate(states) for states in zip(*parts)]
 
 
+def _share_wide(field: Mlp, rows: np.ndarray):
+    """``(step, v)``: ``step()`` writes ``field`` over all of ``rows`` into
+    ``v`` through one plan set up here, with no chunk and no pool."""
+    *plan, (w, bias, v) = _layer_plan(field.layers, len(rows))
+
+    def step() -> None:
+        np.matmul(_run_hidden(rows, plan), w, out=v)
+        np.add(v, bias, out=v)
+
+    return step, v
+
+
 def _share_steps(stages: list[tuple[Mlp, int]], x0: np.ndarray, keep) -> list[np.ndarray]:
     """The rows ``x0`` carried through ``stages`` ((field, n_steps) pairs)
     by ``integrate``'s forward Euler, bit for bit, in the one loop of the
@@ -698,24 +716,24 @@ def _share_steps(stages: list[tuple[Mlp, int]], x0: np.ndarray, keep) -> list[np
     state[...] = x0
     kept = []
     for i, (field, n_steps) in enumerate(stages):
-        *layers, (w, b) = field.layers
-        pooled = n >= 2 * BLOCK_ROWS and bool(layers)
-        *plan, (_, bias, v) = [(w, b, np.empty((n, d)))] if pooled else _layer_plan(field.layers, n)
+        if n >= 2 * BLOCK_ROWS and len(field.layers) > 1:
+            v = np.empty((n, d))
+            velocity = _pass(field.layers, rows, _cuts(n, inference_pool().threads, 4), v)
+        else:
+            velocity, v = _share_wide(field, rows)
         marks = keep if i == len(stages) - 1 else ()
         dt = 1.0 / n_steps
         for k in range(n_steps):
             rows[:, d] = k * dt
-            # a pooled step's hidden array dies here, before the next is made
-            np.matmul(_hidden(layers, rows) if pooled else _run_hidden(rows, plan), w, out=v)
-            np.add(v, bias, out=v)
+            velocity()
             # dt * v, then x plus it: integrate's products and sums
             np.multiply(v, dt, out=v)
             np.add(state, v, out=state)
             if k + 1 in marks:
                 kept.append(state.copy())
-        # free this stage's plan before the next one is made: two at once
+        # free this stage's plans before the next ones are made: two at once
         # raised a refit benchmark run's peak RSS by 2 MiB
-        del plan, bias, v
+        del velocity, v
     return kept
 
 

@@ -33,7 +33,9 @@ through a prior chain that stages repeat (model-source pool, trajectory and
 eval seed base states) in ``<out>/source_pool/<prior stage dir>.bin``,
 ``.traj.bin`` and ``.eval<seed>.bin``, read only while size, digest and
 key (the prior's ``ckpt.bin`` sha256, seed stream, row and step counts,
-numpy version) match, else drawn again and replaced atomically.
+numpy version) match, else drawn again and replaced atomically; a stage
+that stores its eval base states removes its prior's files of seeds
+outside ``eval_seeds``.
 All randomness derives from the spec seed, so re-running a config
 reproduces its checkpoints bit-exactly.
 """
@@ -446,6 +448,16 @@ def _prior_draws(spec: ExperimentSpec, prior: flow.FlowModel, prior_sha256: str,
     return rows, "drawn"
 
 
+def _drop_eval_bases(spec: ExperimentSpec, name: str) -> None:
+    """Remove ``<out>/source_pool/<name>.eval<s>.bin`` for every seed ``s``
+    outside ``spec.eval_seeds``: no stage of this spec reads them."""
+    keep = {f"{name}.eval{s}.bin" for s in spec.eval_seeds}
+    for path in (Path(spec.out) / "source_pool").glob(f"{name}.eval*.bin"):
+        if path.name not in keep and path.name[len(name) + 5 : -4].isdigit():
+            with contextlib.suppress(OSError):
+                path.unlink()
+
+
 # -- pipelines ----------------------------------------------------------------
 
 
@@ -548,6 +560,8 @@ def run_stage(
     x0 = base_states("traj", [spec.seed, _TAG_TRAJ], 512)
     snaps = flow.trajectory(model, x0, model.n_steps, min(5, model.n_steps + 1))
     bases = [base_states(f"eval{s}", [s, me.EVAL_DRAW_TAG], spec.eval_n) for s in spec.eval_seeds]
+    if parent is not None:
+        _drop_eval_bases(spec, STAGES[stage.prior].dir)
     rows = me.evaluate_rows(model, spec.benchmark, clf, spec.eval_n, spec.eval_seeds, method=stage.dir,
                             lam=lam, train_time_s=train_time_s, timing_seed=spec.seed, bases=bases)
     trace = model.loss_trace

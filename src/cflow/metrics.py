@@ -48,8 +48,9 @@ MAX_EVAL_N = 4096
 # 0.6 MiB more in a pool thread's heap, over a refit stage's peak RSS
 KERNEL_LEAF = 2**15
 # largest row count a config or a CLI --n may ask for in one array (data_n,
-# source_pool, train.batch), 16x the largest shipped plan: a train.batch or a
-# classifier scoring that many rows holds 512 MiB of 64-wide activations, a draw 4 MiB
+# source_pool, train.batch), 16x the largest shipped plan: a train.batch that many
+# rows holds 512 MiB of 64-wide activations; a classifier scoring holds a few
+# 256-row chunks of them beside its 8 MiB of scores, and a draw 4 MiB
 MAX_ROWS = 2**20
 # seed-stream tags of an evaluation seed's held-out data and generated batch
 EVAL_DATA_TAG = 0x6576616C

@@ -14,9 +14,15 @@ from conftest import serial_forward, use_pool
 
 from cflow import flow
 from cflow.datasets import GaussianSampler
-from cflow.diffcore import Mlp, nn, velocity_mlp
+from cflow.diffcore import Mlp, nn
 
-ROWS = [1, 2, 3, 5, 1023, 1024, 1025, 2047, 2048, 2049, 4097, 7813, 12288, 12289, 16387]
+# 15,625 rows are the last a 64->1 layer's product keeps within the small-matrix
+# cut-over, 16,384 the first a 64->2 layer takes in two pieces; with 15,626,
+# 15,627 and 16,385 to 16,387 every row count mod 4 is past both
+ROWS = [1, 2, 3, 5, 1023, 1024, 1025, 2047, 2048, 2049, 4097, 7813, 12288, 12289,
+        15625, 15626, 15627, 16385, 16386, 16387, 65536]
+# the fewest whole blocks past the cut-over of a 64->2 layer
+PIECE_ROWS = 8192
 NETS = {"velocity": [3, 64, 64, 64, 2], "classifier": [2, 64, 64, 64, 1]}
 
 
@@ -29,11 +35,20 @@ def net(widths, seed=4):
     return m
 
 
-@pytest.fixture(params=[1, 2], ids=["pool-1", "pool-2"])
+@pytest.fixture(params=[1, 2, 4], ids=["pool-1", "pool-2", "pool-4"])
 def pool_threads(request, monkeypatch):
     executor = use_pool(monkeypatch, request.param)
     yield request.param
     executor.shutdown()
+
+
+def expected_pieces(widths, n):
+    """The pieces ``forward_raw`` carries one after another: one, unless a
+    64->2 output layer over all rows is past the small-matrix cut-over and
+    there are two pieces of it."""
+    if widths[-1] == 1 or n * widths[-2] * widths[-1] <= nn.SMALL_GEMM_MADDS or n < 2 * PIECE_ROWS:
+        return [0, n]
+    return [PIECE_ROWS * k for k in range(n // PIECE_ROWS)] + [n]
 
 
 @pytest.mark.parametrize("widths", NETS.values(), ids=NETS.keys())
@@ -42,30 +57,56 @@ def test_blocked_forward_is_the_serial_loop_bit_for_bit(monkeypatch, pool_thread
     m = net(widths)
     x = np.random.default_rng(n).normal(size=(n, widths[0]))
     x_before = x.copy()
-    runs, threads = [], []
+    runs = {}
     hidden_rows = nn._hidden_rows
 
-    def spy(layers, x, hidden, lo, hi):
-        runs.append((lo, hi))
-        threads.append(threading.current_thread())
-        hidden_rows(layers, x, hidden, lo, hi)
+    def spy(plan, rows, out, lo, hi):
+        # the row of x where the piece of this run starts
+        start = (rows.ctypes.data - x.ctypes.data) // x.strides[0]
+        runs.setdefault(start, []).append((lo, hi, threading.current_thread()))
+        hidden_rows(plan, rows, out, lo, hi)
 
     monkeypatch.setattr(nn, "_hidden_rows", spy)
     out = m.forward_raw(x)
     np.testing.assert_array_equal(out, serial_forward(m, x))
     np.testing.assert_array_equal(x, x_before)
-    if n < 2 * nn.BLOCK_ROWS:
-        # one run over all rows, in the calling thread
-        assert runs == [(0, n)]
-        assert threads == [threading.current_thread()]
-    else:
-        # one run per thread (at most one per block), cut at block edges,
-        # covering every row once
-        runs.sort()
-        assert len(runs) == min(pool_threads, n // nn.BLOCK_ROWS)
-        assert [lo for lo, _ in runs] == [0, *(hi for _, hi in runs[:-1])]
-        assert runs[-1][1] == n
-        assert all(lo % nn.BLOCK_ROWS == 0 and hi - lo >= nn.BLOCK_ROWS for lo, hi in runs)
+    edges = expected_pieces(widths, n)
+    assert sorted(runs) == edges[:-1]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        rows = stop - start
+        piece_runs = sorted((lo, hi) for lo, hi, _ in runs[start])
+        if rows < 2 * nn.BLOCK_ROWS:
+            # one run over all rows, in the calling thread
+            assert piece_runs == [(0, rows)]
+            assert [thread for *_, thread in runs[start]] == [threading.current_thread()]
+        else:
+            # one run per thread (at most one per block), cut at block edges,
+            # covering every row once
+            assert len(piece_runs) == min(pool_threads, rows // nn.BLOCK_ROWS)
+            assert [lo for lo, _ in piece_runs] == [0, *(hi for _, hi in piece_runs[:-1])]
+            assert piece_runs[-1][1] == rows
+            assert all(lo % nn.BLOCK_ROWS == 0 and hi - lo >= nn.BLOCK_ROWS for lo, hi in piece_runs)
+
+
+@pytest.mark.parametrize("n, cuts, same", [
+    (65536, [16384, 32768, 49152], True),
+    (65536, [16000, 32000, 48000, 64000], True),
+    (65536, list(range(8192, 65536, 8192)), True),
+    (40000, [20000], True),
+    (65539, nn._chunk_edges(65539)[1:-1], True),
+    (16387, nn._chunk_edges(16387)[1:-1], True),
+    (31252, [15626], False),
+], ids=["4x16384", "16000s", "8x8192", "2x20000", "chunks-65539", "chunks-16387", "2x15626"])
+def test_a_row_cut_of_a_one_column_output_layer_keeps_its_bits_at_multiples_of_4(n, cuts, same):
+    # past the small-matrix cut-over too; but a piece of 2 mod 4 rows ends in
+    # rows rounded as a tail, which the whole batch rounds otherwise
+    rng = np.random.default_rng(9)
+    h = np.tanh(rng.normal(size=(n, 64)))
+    w = rng.normal(size=(64, 1))
+    edges = [0, *cuts, n]
+    assert all(lo % 4 == 0 for lo in edges[:-1]) == same
+    pieces = np.concatenate([h[lo:hi] @ w for lo, hi in zip(edges, edges[1:])])
+    assert np.array_equal(pieces, h @ w) == same
 
 
 @pytest.mark.parametrize("widths", NETS.values(), ids=NETS.keys())
@@ -170,8 +211,23 @@ def test_small_and_linear_nets_stay_serial(monkeypatch):
     def fail(*args):
         raise AssertionError("the pool ran")
 
+    runs = []
+    hidden_rows = nn._hidden_rows
+
+    def spy(plan, rows, out, lo, hi):
+        runs.append((len(rows), lo, hi, threading.current_thread()))
+        hidden_rows(plan, rows, out, lo, hi)
+
     monkeypatch.setattr(nn, "inference_pool", fail)
-    velocity_mlp(seed=0).forward_raw(np.ones((2 * nn.BLOCK_ROWS - 1, 3)))
+    monkeypatch.setattr(nn, "_hidden_rows", spy)
+    n = 2 * nn.BLOCK_ROWS - 1
+    for widths in NETS.values():
+        m = net(widths)
+        x = np.random.default_rng(1).normal(size=(n, widths[0]))
+        np.testing.assert_array_equal(m.forward_raw(x), serial_forward(m, x))
+    # one run of the chunk loop over all rows of each net, on the calling thread
+    assert runs == [(n, 0, n, threading.current_thread())] * len(NETS)
     linear = Mlp([3, 2], seed=0)
     x = np.random.default_rng(0).normal(size=(3 * nn.BLOCK_ROWS, 3))
     np.testing.assert_array_equal(linear.forward_raw(x), serial_forward(linear, x))
+    assert len(runs) == len(NETS)

@@ -19,6 +19,7 @@ from conftest import kernel_sum_reference, mmd2_from_sums, use_pool
 from cflow import flow, metrics
 from cflow.datasets import GaussianSampler
 from cflow.diffcore import Mlp, nn
+from cflow.energy import BinaryClassifier, ClassifierEnergy
 
 # 15,624 rows are one range: its halves would fall under the small-matrix
 # cut-over of a 64->2 head; 16,384 and 20,000 rows are two pieces of it
@@ -183,6 +184,22 @@ def test_a_large_draw_holds_one_piece_of_activations(monkeypatch):
         executor.shutdown()
     # one 65,536 x 64 float64 activation alone is 32 MiB; an 8,192-row piece's is 4 MiB
     assert peak < 12 * 2**20
+
+
+def test_a_classifier_scoring_holds_no_activation_of_all_its_rows(monkeypatch):
+    executor = use_pool(monkeypatch, 2)
+    energy = ClassifierEnergy(BinaryClassifier(net([2, 64, 64, 64, 1], seed=4)), lam=5.0)
+    x = GaussianSampler(11).sample(65536)
+    tracemalloc.start()
+    try:
+        energy.weight(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        executor.shutdown()
+    # one 65,536 x 64 float64 activation alone is 32 MiB; a run's chunk plan
+    # is under 1 MiB, and the weight's own n-row arrays 0.5 MiB each
+    assert peak < 6 * 2**20
 
 
 def test_small_batches_start_no_pool(monkeypatch):

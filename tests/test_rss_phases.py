@@ -16,17 +16,28 @@ def run_tool(*args):
     return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300)
 
 
-def test_a_tiny_refit_run_reports_every_phase_of_its_first_operation():
-    done = run_tool("--workload", "refit", "--seed", "5", "--ops", "1", "--plan", *TINY)
+# the phases of each workload's first stage operation, between its set-up and
+# its end: a refit's pool draw comes before training and its trajectory and
+# eval bases after it; an unlearn scores its pool inside training; each
+# stage's evaluation scores its samples with the classifier
+PHASES = {
+    "refit": ["classifier", "prior_draws", "train", "prior_draws", "trajectory", "prior_draws",
+              "scoring", "scoring", "evaluation", "writes"],
+    "unlearn": ["classifier", "scoring", "train", "prior_draws", "trajectory", "prior_draws",
+                "scoring", "scoring", "evaluation", "writes"],
+}
+
+
+@pytest.mark.parametrize("workload", PHASES)
+def test_a_tiny_run_reports_every_phase_of_its_first_operation(workload):
+    done = run_tool("--workload", workload, "--seed", "5", "--ops", "1", "--plan", *TINY)
     assert done.returncode == 0, done.stderr
     header, *lines = done.stdout.splitlines()
     assert header.split() == ["phase", "op", "maxrss_mib", "rise_mib", "rss_mib"]
     rows = [line.rsplit(maxsplit=4) for line in lines]
     phases = [row[0] for row in rows]
     assert phases[0] == "setup" and phases[-1] == "op stage"
-    # the pool draw before training, then the trajectory and eval bases after it
-    assert phases[1:-1] == ["classifier", "prior_draws", "train", "prior_draws", "trajectory",
-                            "prior_draws", "evaluation", "writes"]
+    assert phases[1:-1] == PHASES[workload]
     peaks = [float(row[2]) for row in rows]
     assert peaks == sorted(peaks) and all(float(row[3]) >= 0.0 for row in rows)
     assert all(float(row[4]) > 0.0 for row in rows)

@@ -295,3 +295,24 @@ def test_data_and_gaussian_sources_keep_no_pool(tmp_path, draws):
     harness.run(spec.with_pipeline("unlearn-erfm"))
     assert draws == FIRST[1:]
     assert stored(tmp_path) == ["learn.eval0.bin", "learn.traj.bin"]
+
+
+def test_a_stage_removes_the_eval_base_states_of_seeds_it_no_longer_evaluates(tmp_path):
+    spec = spec_for(tmp_path, eval_seeds=[0, 1])
+    harness.run(spec)
+    harness.run(spec.with_pipeline("unlearn-erfm"))
+    assert stored(tmp_path) == ["learn.bin", "learn.eval0.bin", "learn.eval1.bin", "learn.traj.bin"]
+    harness.run(spec_for(tmp_path, "unlearn-erfm", eval_seeds=[2]))
+    assert stored(tmp_path) == ["learn.bin", "learn.eval2.bin", "learn.traj.bin"]
+    # a retrained prior under another seed replaces the files it still reads
+    spec = spec_for(tmp_path, seed=1, eval_seeds=[2])
+    harness.run(spec)
+    harness.run(spec.with_pipeline("unlearn-erfm"))
+    assert stored(tmp_path) == ["learn.bin", "learn.eval2.bin", "learn.traj.bin"]
+    # another prior's files and files of other names are left alone
+    pool = tmp_path / "run" / "source_pool"
+    for name in ("unlearn.eval0.bin", "learn.evalx.bin", "learn.eval0.bin.7.partial"):
+        (pool / name).write_bytes(b"")
+    harness.run(spec.with_pipeline("unlearn-erfm"))
+    assert stored(tmp_path) == ["learn.bin", "learn.eval0.bin.7.partial", "learn.eval2.bin", "learn.evalx.bin",
+                                "learn.traj.bin", "unlearn.eval0.bin"]

@@ -10,6 +10,8 @@ those operations:
     classifier   ``harness.ensure_classifier``
     prior_draws  ``harness._prior_draws`` (source pool, trajectory and eval bases)
     train        ``flow.train``
+    scoring      ``energy.BinaryClassifier.logits`` (a pool's energy weights,
+                 a stage's classifier scores), inside the phase that calls it
     trajectory   ``flow.trajectory``
     evaluation   ``metrics.evaluate_rows``
     writes       the body of ``harness._publish`` (a stage's files)
@@ -119,11 +121,11 @@ def _plan_field(text: str) -> tuple[str, int]:
 def run(wl, workload: str, seed: int, ops: int, overrides: dict, out=sys.stdout) -> None:
     """Set up ``workload`` as perfbench does, then run its first ``ops``
     operations with every phase reported (module docstring)."""
-    from cflow import flow, harness, metrics
+    from cflow import energy, flow, harness, metrics
 
     phase_calls = [("classifier", harness, "ensure_classifier"), ("prior_draws", harness, "_prior_draws"),
-                   ("train", flow, "train"), ("trajectory", flow, "trajectory"),
-                   ("evaluation", metrics, "evaluate_rows")]
+                   ("train", flow, "train"), ("scoring", energy.BinaryClassifier, "logits"),
+                   ("trajectory", flow, "trajectory"), ("evaluation", metrics, "evaluate_rows")]
     plan = dataclasses.replace(wl.FULL, **overrides)
     phases = Phases(out)
     with tempfile.TemporaryDirectory(prefix="rss-phases-") as work, contextlib.ExitStack() as undo:
