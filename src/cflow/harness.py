@@ -453,7 +453,7 @@ def _drop_eval_bases(spec: ExperimentSpec, name: str) -> None:
     outside ``spec.eval_seeds``: no stage of this spec reads them."""
     keep = {f"{name}.eval{s}.bin" for s in spec.eval_seeds}
     for path in (Path(spec.out) / "source_pool").glob(f"{name}.eval*.bin"):
-        if path.name not in keep and path.name[len(name) + 5 : -4].isdigit():
+        if path.name not in keep and path.name.removeprefix(f"{name}.eval").removesuffix(".bin").isdigit():
             with contextlib.suppress(OSError):
                 path.unlink()
 
