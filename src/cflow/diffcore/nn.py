@@ -19,8 +19,8 @@ buffers the network keeps for its last batch size, so a step allocates no
 activation arrays; ``backward`` takes only the cache of the last ``forward``.
 
 ``forward_raw``, the inference pass of every scorer, carries its rows
-through every layer in chunks of ``CHUNK_ROWS`` rows (``_hidden_rows``),
-so it holds no activation of all its rows. It cuts them into runs of
+through every layer in chunks of ``CHUNK_ROWS`` rows (``_hidden_rows``).
+It cuts them into runs of
 whole blocks of ``BLOCK_ROWS`` rows, one per pool thread from two blocks
 up (``_block_runs``); numpy releases the GIL inside matmul and ``tanh``,
 so the runs go in parallel. Each run goes chunk by chunk through one plan
@@ -33,7 +33,9 @@ rows, and the last also takes the remainder. The output layer goes
 through the chunks too where its bits allow (``_head_in_chunks``, the
 second and fourth rules below); elsewhere the chunks write the last
 hidden activation and one matmul over the range applies the output
-layer, one piece of ``row_pieces`` after another (the third rule). The
+layer, one piece of ``row_pieces`` after another (the third rule). So a
+classifier's scoring holds a few chunks' activations at any size, and a
+wider head's at most one piece's (under 16,384 rows for a 64->2 head). The
 hidden layers of a chunk, and of a sampler's share, go through one loop,
 ``_run_hidden``. The result is bit-identical to one run over all rows,
 because of four rules, measured with numpy 2.4.6 and its bundled
