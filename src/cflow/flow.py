@@ -59,9 +59,15 @@ cores with the GIL released. The result is bit-identical to solving each
 step in turn: every sampler owns its generator, so a batch drawn early is
 the batch drawn on time; ``t`` and the conditional noise still come from
 the step stream inside the loop, in the same order; and an assignment is a
-pure function of its batches. A job only computes: it never samples and
-calls no public entry point, so a tracer that wraps those sees one
-thread. The window is not row work, so it submits its jobs itself; when
+pure function of its batches. A solve holds one n x n cost matrix:
+``a @ b.T``, doubled in place, each ``OT_COST_ROWS``-row block of which is
+replaced by ``np.add.outer(na, nb) - block`` (na, nb the rows' squared
+norms), then clipped at 0 in place. Those are the IEEE operations of
+``na[:, None] + nb[None, :] - 2.0 * (a @ b.T)`` in the same order, so the
+matrix keeps its bits; a 256-row job traced 0.69 MiB, where that
+expression's whole-matrix temporaries made it 1.0 MiB. A job only
+computes: it never samples and calls no public entry point, so a tracer
+that wraps those sees one thread. The window is not row work, so it submits its jobs itself; when
 a step raises, ``diffcore.nn._cancel_and_wait`` cancels the queued jobs
 and awaits the running ones before the error leaves ``train``, as
 ``run_shares`` does. A job's own error reaches the caller with its type.
@@ -180,6 +186,9 @@ MAX_BATCH_RESAMPLES = 100
 # 2-vCPU host: threads + 1 left the step waiting on its solve more often
 # (238-291 refit steps/s against 288-316)
 OT_WINDOW = 6
+# rows of the cost matrix finished per temporary: a 32 x 256 block is 64 KiB,
+# where the whole-matrix expression held two more 256 x 256 arrays (1 MiB)
+OT_COST_ROWS = 32
 
 MODEL_MAGIC = b"CFLOWMDL"
 MODEL_VERSION = 1
@@ -310,7 +319,12 @@ def _ot_coupling(x0: np.ndarray, x1: np.ndarray) -> Coupling:
     a, b = _pair_arrays(x0, x1)
     if a.ndim != 2:
         raise ValueError("ot_coupling expects (n, d) batches")
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    na, nb = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    sq = a @ b.T
+    sq *= 2.0
+    for lo in range(0, len(sq), OT_COST_ROWS):  # na_i + nb_j - 2 a_i.b_j, one row block at a time
+        block = sq[lo:lo + OT_COST_ROWS]
+        np.subtract(np.add.outer(na[lo:lo + OT_COST_ROWS], nb), block, out=block)
     np.maximum(sq, 0.0, out=sq)
     rows, cols = ot_solver()(sq)
     # recompute the optimal cost directly so it is exact, not the expanded form
@@ -555,9 +569,10 @@ def train(
     over all rows. The looked-up weights equal those
     of scoring each batch, bit for bit, when the energy scores a row
     independently of the rows around it, as the analytic energies do. A
-    classifier energy runs matmuls, and numpy's bundled OpenBLAS on x86-64
-    rounds the last ``B mod 4`` of B rows its own way, so there the two
-    agree when the batch and the pool sizes are multiples of 4.
+    classifier energy runs matmuls, and numpy's bundled OpenBLAS, in the
+    SkylakeX kernels this was measured with, rounds the last ``B mod 4`` of
+    B rows its own way, so there the two agree when the batch and the pool
+    sizes are multiples of 4 (other kernel families: ROADMAP item 20).
 
     Deterministic: identical (cfg, mode, seed, q0 construction, target)
     reproduce the returned parameters bit-for-bit.

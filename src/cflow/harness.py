@@ -16,6 +16,14 @@ touches its directory. A run produces artifacts under ``<out>/<stage>/``:
     traj.csv      integration snapshots of the trained stage
     report.csv    one metrics row per evaluation seed
 
+The versions are read without importing scipy or ``importlib.metadata``
+(which loads ``email`` and ``zipfile``: 1.6 MiB resident that a run would
+keep). numpy's is ``np.__version__``; scipy's is ``version`` of its
+``scipy/version.py``, found through ``importlib.util.find_spec("scipy")``
+(which imports nothing) and executed on its own, as ``flow.ot_solver``
+loads scipy's solver. Only a layout without that file reads the package
+metadata.
+
 Each pipeline but the lambda sweep is one row of ``STAGES`` (its directory,
 training mode, prior stage, source and target) and ``run_stage`` runs any
 row; the sweep runs the unlearn row once per lambda. Stages form a
@@ -46,7 +54,7 @@ import contextlib
 import csv
 import functools
 import hashlib
-import importlib.metadata
+import importlib.util
 import os
 import platform
 import shutil
@@ -315,13 +323,25 @@ def _require_ckpt(spec: ExperimentSpec, pipeline: str) -> Path:
     return path
 
 
-@functools.cache  # a lookup parses the package's metadata: 4 ms for scipy
+@functools.cache
 def _dist_version(name: str) -> str | None:
-    """The installed version of ``name``, read from its package metadata so
-    that scipy is not imported for it; None when it is not installed."""
+    """The installed version of ``name``, read without importing scipy or
+    ``importlib.metadata`` (module docstring); None when it is not installed."""
+    if name == "numpy":
+        return np.__version__
+    found = importlib.util.find_spec(name)  # imports nothing
+    for where in (found and found.submodule_search_locations) or ():
+        path = os.path.join(where, "version.py")
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(f"{name}.version", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)  # the file alone, never the package's __init__
+            return module.version
+    from importlib import metadata  # another layout: 1.6 MiB resident, so only here
+
     try:
-        return importlib.metadata.version(name)
-    except importlib.metadata.PackageNotFoundError:
+        return metadata.version(name)
+    except metadata.PackageNotFoundError:
         return None
 
 

@@ -40,8 +40,8 @@ def report_pass(criterion: str, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-# the chains' serial wall clock on a 2-vCPU Xeon VM was checkerboard 29.7 s,
-# circles 26.2 s, gaussians6 19.4 s and moons 6.7 s
+# the chains' serial wall clock on a 2-vCPU Xeon VM was checkerboard 42.3 s,
+# circles 40.5 s, gaussians6 27.1 s and moons 9.4 s
 LONGEST_FIRST = ("checkerboard", "circles", "gaussians6", "moons")
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -217,6 +218,42 @@ class TestOtCoupling:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             flow.ot_coupling(np.zeros((3, 2)), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 255, 256, 257])
+    def test_cost_matrix_is_the_whole_matrix_expression_bit_for_bit(self, n, duplicated, monkeypatch):
+        rng = np.random.default_rng([n, duplicated])
+        x0, x1 = rng.normal(size=(2, n, 2))
+        if duplicated:  # repeated rows: equal costs, ties for the solver
+            x0[n // 2:] = x0[0]
+            x1[1::2] = x1[0]
+        reference = (x0 * x0).sum(1)[:, None] + (x1 * x1).sum(1)[None, :] - 2.0 * (x0 @ x1.T)
+        np.maximum(reference, 0.0, out=reference)
+        solver, seen = flow.ot_solver(), []
+
+        def spy(cost):
+            seen.append(cost.copy())
+            return solver(cost)
+
+        monkeypatch.setattr(flow, "ot_solver", lambda: spy)
+        coup = flow.ot_coupling(x0, x1)
+        _, cols = solver(reference)
+        assert len(seen) == 1 and seen[0].tobytes() == reference.tobytes()
+        assert coup.x1.tobytes() == x1[cols].tobytes()
+        assert struct.pack("<d", coup.cost) == struct.pack("<d", float(((x0 - x1[cols]) ** 2).sum()))
+
+    def test_a_256_row_job_holds_one_cost_matrix(self):
+        rng = np.random.default_rng(256)
+        x0, x1 = rng.normal(size=(2, 256, 2))
+        flow._ot_job(x0, x1)  # the solver's first load is not the job's memory
+        tracemalloc.start()
+        try:
+            flow._ot_job(x0, x1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 256 x 256 matrix is 512 KiB; the whole-matrix expression peaked at 1,025 KiB
+        assert peak <= 768 * 1024, peak / 1024
 
 
 class TestIntegrator:

@@ -1130,3 +1130,59 @@ class TestScipyOnlyForOt:
         assert public_coupling.cost == loaded_coupling.cost
         assert public.loss_trace == loaded.loss_trace
         np.testing.assert_array_equal(public.field.theta, loaded.field.theta)
+
+
+class TestVersionsWithoutMetadata:
+    """``meta.yaml``'s numpy and scipy versions are read without
+    ``importlib.metadata`` (and the ``email`` package it loads), and are the
+    versions the package metadata gives."""
+
+    def meta_versions(self, run, stages):
+        for stage in stages:
+            meta = yaml.safe_load((run / stage / "meta.yaml").read_text())
+            yield stage, meta["numpy"], meta["scipy"]
+
+    def test_no_stage_or_draw_loads_importlib_metadata(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.yaml", tiny_config(tmp_path))
+        run = tmp_path / "run"
+        code = textwrap.dedent(f"""
+            import sys
+            from cflow.cli import main
+
+            cfg, run = {str(cfg)!r}, {str(run)!r}
+            for argv in (["train", "--config", cfg], ["unlearn", "--config", cfg], ["refit", "--config", cfg],
+                         ["sample", "--ckpt", run + "/refit/ckpt.bin", "--n", "64", "--steps", "5",
+                          "--out", run + "/s.csv"]):
+                if main(argv) != 0:
+                    sys.exit(f"cflow {{argv[0]}} failed")
+            print("importlib.metadata" in sys.modules, "email" in sys.modules)
+        """)
+        out = run_python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "False False", out.stdout
+        expected = (importlib.metadata.version("numpy"), importlib.metadata.version("scipy"))
+        for stage, *versions in self.meta_versions(run, ["learn", "unlearn", "refit"]):
+            assert tuple(versions) == expected, stage
+
+    def test_a_scipy_without_version_py_falls_back_to_the_same_version(self, tmp_path):
+        # a scipy package first on sys.path with no version.py (and no dist-info):
+        # the lookup reads the installed scipy's metadata, and imports neither
+        fake = tmp_path / "fake"
+        (fake / "scipy").mkdir(parents=True)
+        (fake / "scipy" / "__init__.py").write_text("raise ImportError('the fake scipy was imported')\n")
+        cfg = write_config(tmp_path / "exp.yaml", tiny_config(tmp_path))
+        run = tmp_path / "run"
+        code = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {str(fake)!r})
+            from cflow.cli import main
+
+            if main(["train", "--config", {str(cfg)!r}]) != 0:
+                sys.exit("cflow train failed")
+            print("importlib.metadata" in sys.modules, "scipy" in sys.modules)
+        """)
+        out = run_python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "True False", out.stdout
+        [(_, numpy, scipy)] = self.meta_versions(run, ["learn"])
+        assert (numpy, scipy) == (importlib.metadata.version("numpy"), importlib.metadata.version("scipy"))

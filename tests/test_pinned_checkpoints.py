@@ -6,8 +6,11 @@ A change that keeps every hash has kept every floating-point operation of
 training, initialisation and serialization.
 
 The hashes were recorded with numpy 2.4.6, scipy 1.17.1 and numpy's
-bundled OpenBLAS on x86-64 (Python 3.11). Another BLAS build or numpy
-release may round matmuls differently and then needs new pins.
+bundled OpenBLAS running its SkylakeX (AVX-512) kernels (Python 3.11).
+Other kernels round the training matmuls otherwise: every case here fails
+under ``OPENBLAS_CORETYPE=Haswell`` or ``Sandybridge``. So does another
+BLAS build or numpy release that rounds matmuls differently; each needs
+its own pins (ROADMAP item 20: pin tables keyed by OpenBLAS core name).
 """
 
 import hashlib

@@ -16,7 +16,9 @@ non-default ``finetune_fraction``), and ``unlearn_init: fresh`` with per-step
 model-source draws (``source_pool: 0``).
 
 The hashes were recorded with numpy 2.4.6, scipy 1.17.1 and numpy's
-bundled OpenBLAS on x86-64 (Python 3.11), like the checkpoint pins.
+bundled OpenBLAS running its SkylakeX (AVX-512) kernels (Python 3.11),
+like the checkpoint pins; under ``OPENBLAS_CORETYPE=Haswell`` or
+``Sandybridge`` every case here fails too (ROADMAP item 20).
 """
 
 import csv

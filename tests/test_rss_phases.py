@@ -16,8 +16,8 @@ def run_tool(*args):
     return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300)
 
 
-# the phases of each workload's first stage operation, between its set-up and
-# its end: a refit's pool draw comes before training and its trajectory and
+# the phases of each workload's first stage operation, between its set-up
+# (after the import line) and its end: a refit's pool draw comes before training and its trajectory and
 # eval bases after it; an unlearn scores its pool inside training; each
 # stage's evaluation scores its samples with the classifier
 PHASES = {
@@ -36,12 +36,12 @@ def test_a_tiny_run_reports_every_phase_of_its_first_operation(workload):
     assert header.split() == ["phase", "op", "maxrss_mib", "rise_mib", "rss_mib"]
     rows = [line.rsplit(maxsplit=4) for line in lines]
     phases = [row[0] for row in rows]
-    assert phases[0] == "setup" and phases[-1] == "op stage"
-    assert phases[1:-1] == PHASES[workload]
+    assert phases[:2] == ["import", "setup"] and phases[-1] == "op stage"
+    assert phases[2:-1] == PHASES[workload]
     peaks = [float(row[2]) for row in rows]
     assert peaks == sorted(peaks) and all(float(row[3]) >= 0.0 for row in rows)
     assert all(float(row[4]) > 0.0 for row in rows)
-    assert [row[1] for row in rows] == ["-"] + ["0"] * (len(rows) - 1)
+    assert [row[1] for row in rows] == ["-", "-"] + ["0"] * (len(rows) - 2)
 
 
 @pytest.mark.parametrize("plan", ["no_such_field=1", "data_n=many", "setup_reps=0"])

@@ -4,9 +4,12 @@
 
 Runs the set-up of one ``perfbench/workloads.py`` workload as perfbench
 does (``setup_reps`` set-ups, one BLAS thread), then its first ``--ops``
-operations, and prints one line after the set-up and after each phase of
-those operations:
+operations, and prints one line once numpy and cflow are loaded, one
+after the set-up and one after each phase of those operations:
 
+    import       numpy, cflow and the workload file loaded (the rise is
+                 theirs: the high-water mark before is the interpreter and
+                 the standard library modules this tool imports)
     classifier   ``harness.ensure_classifier``
     prior_draws  ``harness._prior_draws`` (source pool, trajectory and eval bases)
     train        ``flow.train``
@@ -74,10 +77,10 @@ def _maxrss_mib() -> float:
 class Phases:
     """Prints one line per finished phase."""
 
-    def __init__(self, out=sys.stdout):
+    def __init__(self, out=sys.stdout, peak: float | None = None):
         self.out = out
         self.op = "-"
-        self.peak = _maxrss_mib()
+        self.peak = _maxrss_mib() if peak is None else peak
         print(f"{'phase':<12} {'op':>3} {'maxrss_mib':>10} {'rise_mib':>8} {'rss_mib':>8}", file=out)
 
     def mark(self, phase: str) -> None:
@@ -118,16 +121,18 @@ def _plan_field(text: str) -> tuple[str, int]:
     raise argparse.ArgumentTypeError(f"expected NAME=COUNT with a COUNT of at least 1, got {text!r}")
 
 
-def run(wl, workload: str, seed: int, ops: int, overrides: dict, out=sys.stdout) -> None:
+def run(wl, workload: str, seed: int, ops: int, overrides: dict, out=sys.stdout, start: float | None = None) -> None:
     """Set up ``workload`` as perfbench does, then run its first ``ops``
-    operations with every phase reported (module docstring)."""
+    operations with every phase reported (module docstring); ``start`` is
+    the high-water mark before ``wl`` was loaded."""
     from cflow import energy, flow, harness, metrics
 
+    phases = Phases(out, start)
+    phases.mark("import")
     phase_calls = [("classifier", harness, "ensure_classifier"), ("prior_draws", harness, "_prior_draws"),
                    ("train", flow, "train"), ("scoring", energy.BinaryClassifier, "logits"),
                    ("trajectory", flow, "trajectory"), ("evaluation", metrics, "evaluate_rows")]
     plan = dataclasses.replace(wl.FULL, **overrides)
-    phases = Phases(out)
     with tempfile.TemporaryDirectory(prefix="rss-phases-") as work, contextlib.ExitStack() as undo:
         for rep in range(plan.setup_reps):
             setup = wl.set_up(plan, workload, seed, Path(work) / f"setup-{rep}")
@@ -157,12 +162,13 @@ def main(argv=None) -> int:
     if args.seed < 0 or args.ops < 0:
         parser.error("--seed and --ops must be >= 0")
     sys.path.insert(0, str(ROOT / "src"))
+    start = _maxrss_mib()
     wl = _workloads()
     fields = {f.name for f in dataclasses.fields(wl.Plan)}
     for name, _ in args.plan:
         if name not in fields:
             parser.error(f"--plan {name}: not a field of workloads.Plan ({', '.join(sorted(fields))})")
-    run(wl, args.workload, args.seed, args.ops, dict(args.plan))
+    run(wl, args.workload, args.seed, args.ops, dict(args.plan), start=start)
     return 0
 
 
