@@ -67,10 +67,11 @@ norms), then clipped at 0 in place. Those are the IEEE operations of
 matrix keeps its bits; a 256-row job traced 0.69 MiB, where that
 expression's whole-matrix temporaries made it 1.0 MiB. A job only
 computes: it never samples and calls no public entry point, so a tracer
-that wraps those sees one thread. The window is not row work, so it submits its jobs itself; when
-a step raises, ``diffcore.nn._cancel_and_wait`` cancels the queued jobs
-and awaits the running ones before the error leaves ``train``, as
-``run_shares`` does. A job's own error reaches the caller with its type.
+that wraps those sees one thread. The window is not row work, so it
+submits its jobs itself; when a step raises,
+``diffcore.nn._cancel_and_wait`` cancels the queued jobs and awaits the
+running ones before the error leaves ``train``, as ``run_shares`` does. A
+job's own error reaches the caller with its type.
 
 The OT coupling is the one user of scipy, and it needs one compiled
 function: ``linear_sum_assignment``, defined in the extension module

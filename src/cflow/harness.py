@@ -16,9 +16,10 @@ touches its directory. A run produces artifacts under ``<out>/<stage>/``:
     traj.csv      integration snapshots of the trained stage
     report.csv    one metrics row per evaluation seed
 
-The versions are read without importing scipy or ``importlib.metadata``
-(which loads ``email`` and ``zipfile``: 1.6 MiB resident that a run would
-keep). numpy's is ``np.__version__``; scipy's is ``version`` of its
+The versions are read without importing scipy or ``importlib.metadata``,
+which loads ``email`` and ``zipfile``: after ``import cflow.cli`` and both
+lookups a process held 35.6 MiB, against 36.9 MiB through the metadata
+(2-vCPU Xeon VM). numpy's is ``np.__version__``; scipy's is ``version`` of its
 ``scipy/version.py``, found through ``importlib.util.find_spec("scipy")``
 (which imports nothing) and executed on its own, as ``flow.ot_solver``
 loads scipy's solver. Only a layout without that file reads the package
@@ -337,7 +338,7 @@ def _dist_version(name: str) -> str | None:
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)  # the file alone, never the package's __init__
             return module.version
-    from importlib import metadata  # another layout: 1.6 MiB resident, so only here
+    from importlib import metadata  # another layout only: it costs 1.3 MiB resident
 
     try:
         return metadata.version(name)
