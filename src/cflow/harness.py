@@ -22,8 +22,8 @@ lookups a process held 35.6 MiB, against 36.9 MiB through the metadata
 (2-vCPU Xeon VM). numpy's is ``np.__version__``; scipy's is ``version`` of its
 ``scipy/version.py``, found through ``importlib.util.find_spec("scipy")``
 (which imports nothing) and executed on its own, as ``flow.ot_solver``
-loads scipy's solver. Only a layout without that file reads the package
-metadata.
+loads scipy's solver. Every supported scipy has that file: its own
+``__init__`` imports ``__version__`` from it.
 
 Each pipeline but the lambda sweep is one row of ``STAGES`` (its directory,
 training mode, prior stage, source and target) and ``run_stage`` runs any
@@ -291,7 +291,7 @@ def ensure_classifier(spec: ExperimentSpec) -> en.BinaryClassifier:
     meta = path.parent / "meta.yaml"
     cfg = en.ClassifierConfig(seed=spec.seed)
     key = _plain({"benchmark": spec.benchmark, "seed": spec.seed, "data_n": spec.data_n,
-                  "classifier": asdict(cfg), "numpy": _dist_version("numpy")})
+                  "classifier": asdict(cfg), "numpy": np.__version__})
     if path.exists() and meta.exists():
         try:
             recorded = yaml.safe_load(meta.read_text())
@@ -325,25 +325,19 @@ def _require_ckpt(spec: ExperimentSpec, pipeline: str) -> Path:
 
 
 @functools.cache
-def _dist_version(name: str) -> str | None:
-    """The installed version of ``name``, read without importing scipy or
-    ``importlib.metadata`` (module docstring); None when it is not installed."""
-    if name == "numpy":
-        return np.__version__
-    found = importlib.util.find_spec(name)  # imports nothing
+def _scipy_version() -> str | None:
+    """The installed scipy's version, read from ``scipy/version.py`` without
+    importing scipy or ``importlib.metadata`` (module docstring); None when
+    scipy is not installed."""
+    found = importlib.util.find_spec("scipy")  # imports nothing
     for where in (found and found.submodule_search_locations) or ():
         path = os.path.join(where, "version.py")
         if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(f"{name}.version", path)
+            spec = importlib.util.spec_from_file_location("scipy.version", path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)  # the file alone, never the package's __init__
             return module.version
-    from importlib import metadata  # another layout only: it costs 1.3 MiB resident
-
-    try:
-        return metadata.version(name)
-    except metadata.PackageNotFoundError:
-        return None
+    return None
 
 
 _LEFTOVERS = (".partial", ".old")  # a stage being built, a stage being replaced
@@ -459,7 +453,7 @@ def _prior_draws(spec: ExperimentSpec, prior: flow.FlowModel, prior_sha256: str,
     through ``prior`` at ``n_steps`` per stage (0: each stage's own) and
     ``drawn`` or ``read``, from ``<out>/source_pool/<name>.bin``."""
     path = Path(spec.out) / "source_pool" / f"{name}.bin"
-    key = hashlib.sha256(repr((prior_sha256, seed, n, n_steps, _dist_version("numpy"))).encode()).digest()
+    key = hashlib.sha256(repr((prior_sha256, seed, n, n_steps, np.__version__)).encode()).digest()
     rows = _read_pool(path, key, (n, prior.dim))
     if rows is not None:
         return rows, "read"
@@ -597,8 +591,8 @@ def run_stage(
             "inference_threads": inference_threads(),
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
-            "numpy": _dist_version("numpy"),
-            "scipy": _dist_version("scipy"),
+            "numpy": np.__version__,
+            "scipy": _scipy_version(),
             **provenance,
         })
         ds.write_csv(partial / "loss.csv", ["step", *trace], loss_rows)

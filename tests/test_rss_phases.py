@@ -17,9 +17,10 @@ def run_tool(*args):
 
 
 # the phases of each workload's first stage operation, between its set-up
-# (after the import line) and its end: a refit's pool draw comes before training and its trajectory and
-# eval bases after it; an unlearn scores its pool inside training; each
-# stage's evaluation scores its samples with the classifier
+# (after the import line) and its end: a refit's pool draw comes before
+# training and its trajectory and eval bases after it; an unlearn scores its
+# pool inside training; each stage's evaluation scores its samples with the
+# classifier
 PHASES = {
     "refit": ["classifier", "prior_draws", "train", "prior_draws", "trajectory", "prior_draws",
               "scoring", "scoring", "evaluation", "writes"],

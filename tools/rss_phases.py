@@ -77,10 +77,10 @@ def _maxrss_mib() -> float:
 class Phases:
     """Prints one line per finished phase."""
 
-    def __init__(self, out=sys.stdout, peak: float | None = None):
+    def __init__(self, out, peak: float):
         self.out = out
         self.op = "-"
-        self.peak = _maxrss_mib() if peak is None else peak
+        self.peak = peak
         print(f"{'phase':<12} {'op':>3} {'maxrss_mib':>10} {'rise_mib':>8} {'rss_mib':>8}", file=out)
 
     def mark(self, phase: str) -> None:
@@ -121,7 +121,7 @@ def _plan_field(text: str) -> tuple[str, int]:
     raise argparse.ArgumentTypeError(f"expected NAME=COUNT with a COUNT of at least 1, got {text!r}")
 
 
-def run(wl, workload: str, seed: int, ops: int, overrides: dict, out=sys.stdout, start: float | None = None) -> None:
+def run(wl, workload: str, seed: int, ops: int, overrides: dict, start: float, out=sys.stdout) -> None:
     """Set up ``workload`` as perfbench does, then run its first ``ops``
     operations with every phase reported (module docstring); ``start`` is
     the high-water mark before ``wl`` was loaded."""
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     for name, _ in args.plan:
         if name not in fields:
             parser.error(f"--plan {name}: not a field of workloads.Plan ({', '.join(sorted(fields))})")
-    run(wl, args.workload, args.seed, args.ops, dict(args.plan), start=start)
+    run(wl, args.workload, args.seed, args.ops, dict(args.plan), start)
     return 0
 
 
